@@ -5,7 +5,9 @@ Only classical values can transit: payloads are built by canonical_encode,
 which accepts ints, bytes, strings, booleans, None, and (possibly nested)
 lists/tuples of those, and raises TypeError for anything else -- there is no
 serializer for quantum state types, so quantum data cannot leak through the
-channel by construction.
+channel by construction.  Ints must fit in signed 64 bits, and decoding
+refuses lists nested deeper than MAX_NESTING; out-of-range values and
+malformed bytes raise ChannelError.
 
 Wire format, designed for bit-exact replay: a 4-byte big-endian frame length,
 then session_id (16 bytes), seq (8 bytes LE), sender (1 byte, 0=alice
@@ -30,6 +32,7 @@ ALICE = "alice"
 BOB = "bob"
 _SENDER_CODE = {ALICE: 0, BOB: 1}
 _SENDER_NAME = {0: ALICE, 1: BOB}
+MAX_NESTING = 64
 
 
 class ChannelError(Exception):
@@ -57,7 +60,10 @@ def canonical_encode(value) -> bytes:
     if isinstance(value, bool):
         return b"t" if value else b"f"
     if isinstance(value, int):
-        return b"i" + int(value).to_bytes(8, "little", signed=True)
+        try:
+            return b"i" + int(value).to_bytes(8, "little", signed=True)
+        except OverflowError:
+            raise ChannelError("integer outside the signed 64-bit range") from None
     if isinstance(value, bytes):
         return b"b" + len(value).to_bytes(4, "little") + value
     if isinstance(value, str):
@@ -70,7 +76,7 @@ def canonical_encode(value) -> bytes:
         f"only classical values can transit the channel, not {type(value).__name__}")
 
 
-def _decode_one(data: bytes, pos: int):
+def _decode_one(data: bytes, pos: int, depth: int = 0):
     tag = data[pos:pos + 1]
     pos += 1
     if tag == b"n":
@@ -86,16 +92,25 @@ def _decode_one(data: bytes, pos: int):
         raw = data[pos + 4:pos + 4 + ln]
         if len(raw) != ln:
             raise FramingError("truncated payload item")
-        return (raw if tag == b"b" else raw.decode("utf-8")), pos + 4 + ln
+        return (raw if tag == b"b" else _utf8(raw)), pos + 4 + ln
     if tag == b"l":
+        if depth >= MAX_NESTING:
+            raise FramingError("payload lists nested too deeply")
         count = int.from_bytes(data[pos:pos + 4], "little")
         pos += 4
         items = []
         for _ in range(count):
-            item, pos = _decode_one(data, pos)
+            item, pos = _decode_one(data, pos, depth + 1)
             items.append(item)
         return tuple(items), pos
     raise FramingError(f"unknown payload tag {tag!r}")
+
+
+def _utf8(raw: bytes) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError:
+        raise FramingError("invalid UTF-8 in payload") from None
 
 
 def canonical_decode(data: bytes):
@@ -140,7 +155,9 @@ def unframe_message(frame: bytes) -> Message:
     if sender_code not in _SENDER_NAME:
         raise FramingError("bad sender code")
     mt_len = int.from_bytes(body[25:27], "little")
-    mt = body[27:27 + mt_len].decode("utf-8")
+    if 27 + mt_len > ln:
+        raise FramingError("truncated message type")
+    mt = _utf8(body[27:27 + mt_len])
     payload = body[27 + mt_len:]
     return Message(session_id, seq, _SENDER_NAME[sender_code], mt, payload)
 

@@ -140,16 +140,12 @@ def cmd_oqfe_run(args) -> int:
     ep = make_endpoint(args, sid)
     try:
         if args.role == "alice":
-            coins = coin_source(seed, "alice")
-            fn = (protocols.oqfe_sh_alice if args.mode == "sh"
-                  else protocols.oqfe_mal_alice)
-            view = fn(ep, args.b, params, coins)
+            view = protocols.oqfe_sh_alice(ep, args.b, params,
+                                           coin_source(seed, "alice"))
             emit({"s_b": view.s_b, "delta": int(view.delta)})
         else:
-            coins = coin_source(seed, "bob")
-            fn = (protocols.oqfe_sh_bob if args.mode == "sh"
-                  else protocols.oqfe_mal_bob)
-            view = fn(ep, psi, params, coins, rsp.rsp_bob_shortcut)
+            view = protocols.oqfe_sh_bob(ep, psi, params, coin_source(seed, "bob"),
+                                         rsp.rsp_bob_shortcut)
             emit({"m0": view.m0, "s_bar": view.s_bar})
         return write_or_check_transcript(ep, args)
     finally:
@@ -190,8 +186,9 @@ def cmd_experiment(args) -> int:
         report = harness.oqfe_correctness_report(named_state(args.input),
                                                  args.b)
     elif name == "q2pc-correctness":
+        pattern = load_pattern(args.pattern)
         report = harness.q2pc_correctness_report(
-            load_pattern(args.pattern), resolve_input(args, 1), seed)
+            pattern, resolve_input(args, pattern.n), seed)
     else:
         raise UsageError(f"unknown experiment {name!r}")
     payload = report.to_dict()
@@ -231,8 +228,9 @@ def cmd_zkpoqk_demo(args) -> int:
 # --------------------------------------------------------------- parsing
 
 def add_common(p, transport=False):
-    p.add_argument("--profile", default="tiny",
-                   choices=("tiny", "small", "demo"))
+    # only tiny is small enough for the simulated quantum Bob and the
+    # exact experiments
+    p.add_argument("--profile", default="tiny", choices=("tiny",))
     p.add_argument("--seed", default="0")
     if transport:
         p.add_argument("--transport", default="inproc",

@@ -29,7 +29,8 @@ import numpy as np
 
 from . import lattice, mbqc, protocols, qsim, rsp, zk
 from .lattice import LatticeParams, TrapdoorKeypair
-from .primitives import CoinSource, coin_source, verify_commitment, xor_bytes
+from .primitives import (CoinSource, coin_source, commit, verify_commitment,
+                         xor_bytes)
 from .profiles import Profile, get_profile
 from .qsim import Angle8, StateVector
 
@@ -216,10 +217,6 @@ def backend_equivalence_experiment(profile: str | Profile = "tiny",
 
 # ------------------------------------------------- semi-honest-Alice views
 
-def ideal_oqfe_law(psi_in: StateVector, b: int) -> dict:
-    return born_rx_law(psi_in, b)
-
-
 @dataclass(frozen=True)
 class ViewSample:
     """OQFE Alice's view: input bit, mask, RSP message, Bob's report."""
@@ -305,7 +302,7 @@ def simulated_view_law(kp: TrapdoorKeypair, psi_in: StateVector, b: int,
     conditioning as real_view_law."""
     if variant not in ("corrected", "literal"):
         raise HarnessError(f"unknown simulator variant {variant!r}")
-    ideal = ideal_oqfe_law(psi_in, b)
+    ideal = born_rx_law(psi_in, b)
     law: dict[tuple, float] = {}
     for cl in _view_classes(kp):
         theta1 = cl["theta1"]
@@ -392,45 +389,10 @@ def q2pc_blinded_law_exact(pattern: mbqc.BrickworkPattern,
     for every (thetas, r_mask) assignment; enumerating it for the
     assignment an actual protocol run used ties the protocol to the
     circuit-model oracle branch by branch."""
-    n, m = pattern.n, pattern.m
-    state = psi_in
-    for j in range(1, m):
-        for i in range(n):
-            state = qsim.tensor(state, qsim.plus_state(thetas[(i, j)]))
-    for j in range(m - 1):
-        for i in range(n):
-            state = qsim.apply_gate(state, "CZ", (j * n + i, (j + 1) * n + i))
-    for (i, j) in pattern.bridges:
-        state = qsim.apply_gate(state, "CZ", (j * n + i, j * n + i + 1))
-
-    sites = pattern.sites()
-    law: dict[tuple, float] = {}
-    board = mbqc.OutcomeBoard()
-
-    def walk(st, idx, prob):
-        if idx == len(sites):
-            key = tuple(board.s_bar[s] for s in pattern.output_sites())
-            law[key] = law.get(key, 0.0) + prob
-            return
-        site = sites[idx]
-        sX, sZ = mbqc.accumulate_dependencies(board, pattern, site)
-        phi_p = mbqc.compute_phi_prime(pattern.phi[site[0]][site[1]], sX, sZ)
-        if site[1] == 0:
-            angle, r = phi_p, 0        # input column is measured unblinded
-        else:
-            r = r_mask[site]
-            angle = mbqc.compute_delta(phi_p, thetas[site], r)
-        for outcome, (p, post) in enumerate(qsim.branch_in_plane(st, 0, angle)):
-            if post is None:
-                continue
-            board.record(site, outcome, r)
-            walk(post, idx + 1, prob * p)
-            board.forget(site)
-
-    walk(state, 0, 1.0)
-    if abs(sum(law.values()) - 1.0) > 1e-9:
-        raise HarnessError("branch probabilities do not sum to 1")
-    return law
+    prepared = {site: qsim.plus_state(thetas[site])
+                for site in pattern.sites()[pattern.n:]}
+    state = mbqc.entangled_graph_state(pattern, psi_in, prepared)
+    return mbqc._branch_law(pattern, state, thetas, r_mask)
 
 
 def q2pc_correctness_report(pattern: mbqc.BrickworkPattern,
@@ -533,35 +495,21 @@ def _biased_mask_alice(ep, b, params, coins, auth, mask_value: int):
 
 def cheating_alice_bad_key(ep, b, params, coins, auth):
     """Publishes a key not derived from the committed coins."""
-    from .primitives import commit
-    r_f_a = coins.child("coinshare").take_bytes(32)
-    com_f, dec_f = commit(r_f_a, coins.child("comf"))
-    ep.send("q2pc.commit", com_f)
-    r_f_b = ep.expect("q2pc.coin").value()
+    r_f_a, com_f, dec_f, r_f_b = protocols._alice_coin_toss(ep, coins)
     kp = lattice.gen_regular(params, coins.child("rogue"))
-    statement = (com_f, r_f_b, kp.public.to_bytes())
-    tokens = zk.prove(zk.new_session(zk.rel_keygen(params), statement,
-                                     "prover", auth), (r_f_a, dec_f))
-    ep.send("rsp.key", kp.public.to_bytes())
-    ep.send("zk.token", tokens[0])
+    protocols._alice_publish_key(ep, params, auth, com_f, r_f_b, kp,
+                                 (r_f_a, dec_f))
     ep.expect("rsp.meas")   # never reached: Bob aborts first
     raise HarnessError("cheat unexpectedly survived")
 
 
 def cheating_alice_wrong_commitment(ep, b, params, coins, auth):
     """Proves over a commitment that does not open to her coin share."""
-    from .primitives import commit
-    r_f_a = coins.child("coinshare").take_bytes(32)
-    com_f, _dec = commit(r_f_a, coins.child("comf"))
+    r_f_a, com_f, _dec, r_f_b = protocols._alice_coin_toss(ep, coins)
     _, wrong_dec = commit(r_f_a, coins.child("other"))
-    ep.send("q2pc.commit", com_f)
-    r_f_b = ep.expect("q2pc.coin").value()
     kp = lattice.gen_regular(params, coin_source(xor_bytes(r_f_a, r_f_b), "gen"))
-    statement = (com_f, r_f_b, kp.public.to_bytes())
-    tokens = zk.prove(zk.new_session(zk.rel_keygen(params), statement,
-                                     "prover", auth), (r_f_a, wrong_dec))
-    ep.send("rsp.key", kp.public.to_bytes())
-    ep.send("zk.token", tokens[0])
+    protocols._alice_publish_key(ep, params, auth, com_f, r_f_b, kp,
+                                 (r_f_a, wrong_dec))
     ep.expect("rsp.meas")
     raise HarnessError("cheat unexpectedly survived")
 

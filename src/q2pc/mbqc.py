@@ -1,5 +1,7 @@
 """Measurement-based computation scaffolding: brickwork patterns, flow
-dependencies, blind-angle arithmetic, and a plain reference evaluator.
+dependencies, blind-angle arithmetic, the graph-state builder, and the
+exact adaptive branch walk behind both the plain reference law and the
+blinded law (harness.q2pc_blinded_law_exact).
 
 A pattern is an n x m grid measured column-major, every site in the (X,Y)
 plane.  Column 0 is the input column (the input state itself, measured at
@@ -134,8 +136,11 @@ def accumulate_dependencies(board: OutcomeBoard, pattern: BrickworkPattern,
 
 
 def entangled_graph_state(pattern: BrickworkPattern,
-                          input_state: StateVector) -> StateVector:
-    """Full grid state: input column + |+> columns, CZ per graph edge.
+                          input_state: StateVector,
+                          prepared: dict | None = None) -> StateVector:
+    """Full grid state: the input column, then each non-input site's qubit
+    column by column (prepared[(i, j)], default |+>), then a CZ per graph
+    edge: the horizontal wires first, then the bridges in listed order.
     Site (i, j) sits at qubit index j*n + i."""
     if input_state.num_qubits != pattern.n:
         raise MbqcError("input state width does not match pattern rows")
@@ -143,8 +148,9 @@ def entangled_graph_state(pattern: BrickworkPattern,
     if n * m > qsim.MAX_DENSE_QUBITS:
         raise MbqcError("pattern exceeds dense qubit budget")
     state = input_state
-    for _ in range(n * (m - 1)):
-        state = qsim.tensor(state, qsim.plus_state())
+    for site in pattern.sites()[n:]:
+        state = qsim.tensor(state, qsim.plus_state() if prepared is None
+                            else prepared[site])
     for j in range(m - 1):
         for i in range(n):
             state = qsim.apply_gate(state, "CZ", (j * n + i, (j + 1) * n + i))
@@ -153,16 +159,17 @@ def entangled_graph_state(pattern: BrickworkPattern,
     return state
 
 
-def reference_evaluate(pattern: BrickworkPattern,
-                       input_state: StateVector) -> dict:
-    """Exact output-bitstring law of the plain (theta=0, r=0) pattern,
-    {(bits row 0..n-1): prob}, by adaptive branch enumeration."""
-    state = entangled_graph_state(pattern, input_state)
+def _branch_law(pattern: BrickworkPattern, state: StateVector,
+                thetas: dict, r_mask: dict) -> dict:
+    """Exact output-bitstring law {(bits row 0..n-1): prob} of the adaptive
+    measurement walk over a built graph state, by branch enumeration.  The
+    input column is measured unblinded; every other site s at
+    delta(phi', thetas[s], r_mask[s]), its outcome unmasked by r_mask[s]."""
     sites = pattern.sites()
     law: dict[tuple, float] = {}
     board = OutcomeBoard()
 
-    def walk(st: StateVector | None, idx: int, prob: float):
+    def walk(st: StateVector, idx: int, prob: float):
         if idx == len(sites):
             key = tuple(board.s_bar[s] for s in pattern.output_sites())
             law[key] = law.get(key, 0.0) + prob
@@ -170,20 +177,31 @@ def reference_evaluate(pattern: BrickworkPattern,
         site = sites[idx]
         sX, sZ = accumulate_dependencies(board, pattern, site)
         angle = compute_phi_prime(pattern.phi[site[0]][site[1]], sX, sZ)
+        r = 0
+        if site[1] > 0:
+            r = r_mask[site]
+            angle = compute_delta(angle, thetas[site], r)
         # column-major order means the pending site is always live index 0
-        branches = qsim.branch_in_plane(st, 0, angle)
-        for outcome, (p, post) in enumerate(branches):
+        for outcome, (p, post) in enumerate(qsim.branch_in_plane(st, 0, angle)):
             if post is None:
                 continue
-            board.record(site, outcome)
+            board.record(site, outcome, r)
             walk(post, idx + 1, prob * p)
             board.forget(site)
 
     walk(state, 0, 1.0)
-    total = sum(law.values())
-    if abs(total - 1.0) > 1e-9:
+    if abs(sum(law.values()) - 1.0) > 1e-9:
         raise MbqcError("branch probabilities do not sum to 1")
     return law
+
+
+def reference_evaluate(pattern: BrickworkPattern,
+                       input_state: StateVector) -> dict:
+    """Exact output-bitstring law of the plain (theta=0, r=0) pattern,
+    {(bits row 0..n-1): prob}, by adaptive branch enumeration."""
+    zero = dict.fromkeys(pattern.sites()[pattern.n:], 0)
+    return _branch_law(pattern, entangled_graph_state(pattern, input_state),
+                       zero, zero)
 
 
 def circuit_model_law(pattern: BrickworkPattern,

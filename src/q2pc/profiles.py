@@ -19,7 +19,6 @@ from .lattice import LatticeParams
 class Profile:
     name: str
     params: LatticeParams
-    dense_qubit_budget: int
     enumeration_allowed: bool
 
     def __post_init__(self):
@@ -29,11 +28,11 @@ class Profile:
 
 PROFILES = {
     "tiny": Profile("tiny", LatticeParams(n=1, m=4, q=8, sigma0=0, sigma=1),
-                    dense_qubit_budget=24, enumeration_allowed=True),
+                    enumeration_allowed=True),
     "small": Profile("small", LatticeParams(n=2, m=16, q=256, sigma0=1, sigma=4),
-                     dense_qubit_budget=24, enumeration_allowed=False),
+                     enumeration_allowed=False),
     "demo": Profile("demo", LatticeParams(n=4, m=64, q=4096, sigma0=2, sigma=32),
-                    dense_qubit_budget=24, enumeration_allowed=False),
+                    enumeration_allowed=False),
 }
 
 

@@ -132,13 +132,13 @@ class OqfeBobView:
     keygen_session: object = None
 
 
-# --------------------------------------------------------- OQFE semi-honest
+# ------------------------------------------------- OQFE after key generation
 
-def oqfe_sh_alice(ep: Endpoint, b: int, params: LatticeParams,
-                  coins: CoinSource) -> OqfeAliceView:
+def _oqfe_alice_steps(ep: Endpoint, b: int, kp: TrapdoorKeypair,
+                      coins: CoinSource) -> OqfeAliceView:
+    """Alice once Bob holds her key: decode his RSP report, mask, send
+    delta, decode his result."""
     view = OqfeAliceView(b=b)
-    kp = lattice.gen_regular(params, coins.child("gen"))
-    ep.send("rsp.key", kp.public.to_bytes())
     y, w = ep.expect("rsp.meas").value()
     view.y, view.w_meas = tuple(y), tuple(w)
     try:
@@ -154,10 +154,10 @@ def oqfe_sh_alice(ep: Endpoint, b: int, params: LatticeParams,
     return view
 
 
-def oqfe_sh_bob(ep: Endpoint, psi_in: StateVector, params: LatticeParams,
-                coins: CoinSource, backend=rsp.rsp_bob_quantum) -> OqfeBobView:
-    view = OqfeBobView()
-    pk = lattice.PublicKey.from_bytes(params, ep.expect("rsp.key").value())
+def _oqfe_bob_steps(ep: Endpoint, view: OqfeBobView, pk: lattice.PublicKey,
+                    psi_in: StateVector, coins: CoinSource,
+                    backend) -> OqfeBobView:
+    """Bob once he holds Alice's key: RSP, report, measure at delta, report."""
     out = backend(pk, coins.child("rsp"))
     view.y, view.w_meas = out.y, out.w_meas
     ep.send("rsp.meas", (list(out.y), list(out.w_meas)))
@@ -168,37 +168,55 @@ def oqfe_sh_bob(ep: Endpoint, psi_in: StateVector, params: LatticeParams,
     return view
 
 
+# --------------------------------------------------------- OQFE semi-honest
+
+def oqfe_sh_alice(ep: Endpoint, b: int, params: LatticeParams,
+                  coins: CoinSource) -> OqfeAliceView:
+    kp = lattice.gen_regular(params, coins.child("gen"))
+    ep.send("rsp.key", kp.public.to_bytes())
+    return _oqfe_alice_steps(ep, b, kp, coins)
+
+
+def oqfe_sh_bob(ep: Endpoint, psi_in: StateVector, params: LatticeParams,
+                coins: CoinSource, backend=rsp.rsp_bob_quantum) -> OqfeBobView:
+    pk = lattice.PublicKey.from_bytes(params, ep.expect("rsp.key").value())
+    return _oqfe_bob_steps(ep, OqfeBobView(), pk, psi_in, coins, backend)
+
+
 # ------------------------------------------------------ OQFE malicious-Alice
+# The key comes from a coin toss: Alice commits her share, learns Bob's,
+# derives the keypair from the XOR and proves that derivation.  The two
+# halves of her side are separate so scripted cheats can deviate between.
+
+def _alice_coin_toss(ep: Endpoint, coins: CoinSource):
+    """Commit to Alice's coin share and learn Bob's; returns
+    (share, com_f, dec_f, bob_share)."""
+    r_f_a = coins.child("coinshare").take_bytes(32)
+    com_f, dec_f = commit(r_f_a, coins.child("comf"))
+    ep.send("q2pc.commit", com_f)
+    return r_f_a, com_f, dec_f, ep.expect("q2pc.coin").value()
+
+
+def _alice_publish_key(ep: Endpoint, params: LatticeParams,
+                       auth: zk.ZkAuthority, com_f: bytes, r_f_b: bytes,
+                       kp: TrapdoorKeypair, witness) -> None:
+    """Send the public key with a key-generation proof for witness."""
+    pk_bytes = kp.public.to_bytes()
+    tokens = zk.prove(zk.new_session(zk.rel_keygen(params),
+                                     (com_f, r_f_b, pk_bytes), "prover", auth),
+                      witness)
+    ep.send("rsp.key", pk_bytes)
+    ep.send("zk.token", tokens[0])
+
 
 def oqfe_mal_alice(ep: Endpoint, b: int, params: LatticeParams,
                    coins: CoinSource,
                    authority: zk.ZkAuthority | None = None) -> OqfeAliceView:
     auth = authority or zk.default_authority()
-    r_f_a = coins.child("coinshare").take_bytes(32)
-    com_f, dec_f = commit(r_f_a, coins.child("comf"))
-    ep.send("q2pc.commit", com_f)
-    r_f_b = ep.expect("q2pc.coin").value()
+    r_f_a, com_f, dec_f, r_f_b = _alice_coin_toss(ep, coins)
     kp = lattice.gen_regular(params, coin_source(xor_bytes(r_f_a, r_f_b), "gen"))
-    pk_bytes = kp.public.to_bytes()
-    statement = (com_f, r_f_b, pk_bytes)
-    tokens = zk.prove(zk.new_session(zk.rel_keygen(params), statement,
-                                     "prover", auth), (r_f_a, dec_f))
-    ep.send("rsp.key", pk_bytes)
-    ep.send("zk.token", tokens[0])
-    view = OqfeAliceView(b=b)
-    y, w = ep.expect("rsp.meas").value()
-    view.y, view.w_meas = tuple(y), tuple(w)
-    try:
-        dec = rsp.rsp_alice_decode(kp, y, w)
-    except rsp.RspAbort as exc:
-        raise ProtocolAbort("rsp", None, str(exc)) from exc
-    view.theta1, view.theta2 = dec.theta1, dec.theta2
-    view.r_a = coins.child("mask").bit()
-    view.delta = oqfe_delta(b, dec.theta2, view.r_a)
-    ep.send("oqfe.delta", int(view.delta))
-    view.m0, view.s_bar = ep.expect("oqfe.result").value()
-    view.s_b = oqfe_decode(b, dec.theta1, view.r_a, view.m0, view.s_bar)
-    return view
+    _alice_publish_key(ep, params, auth, com_f, r_f_b, kp, (r_f_a, dec_f))
+    return _oqfe_alice_steps(ep, b, kp, coins)
 
 
 def oqfe_mal_bob(ep: Endpoint, psi_in: StateVector, params: LatticeParams,
@@ -217,14 +235,7 @@ def oqfe_mal_bob(ep: Endpoint, psi_in: StateVector, params: LatticeParams,
     if zk.verify(session, [token]) != "accept":
         raise ProtocolAbort("keygen-proof", None, "key generation proof rejected")
     pk = lattice.PublicKey.from_bytes(params, view.pk_bytes)
-    out = backend(pk, coins.child("rsp"))
-    view.y, view.w_meas = out.y, out.w_meas
-    ep.send("rsp.meas", (list(out.y), list(out.w_meas)))
-    view.delta = Angle8(ep.expect("oqfe.delta").value())
-    view.m0, view.s_bar = oqfe_bob_measure(psi_in, out.state, view.delta,
-                                           coins.child("meas"))
-    ep.send("oqfe.result", (view.m0, view.s_bar))
-    return view
+    return _oqfe_bob_steps(ep, view, pk, psi_in, coins, backend)
 
 
 # ---------------------------------------------------------------- Q2PC
@@ -366,16 +377,7 @@ def q2pc_bob(ep: Endpoint, psi_in: StateVector, params: LatticeParams,
         ep.send("q2pc.outcome", ("merge", s[0], s[1], int(u), t))
         merged.append(state)
 
-    if psi_in.num_qubits != n:
-        raise ProtocolAbort("input", None, "input state width mismatch")
-    state = psi_in
-    for q in merged:
-        state = qsim.tensor(state, q)
-    for j in range(m - 1):
-        for i in range(n):
-            state = qsim.apply_gate(state, "CZ", (j * n + i, (j + 1) * n + i))
-    for (bi, bj) in shape.bridges:
-        state = qsim.apply_gate(state, "CZ", (bj * n + bi, bj * n + bi + 1))
+    state = mbqc.entangled_graph_state(shape, psi_in, dict(zip(sites, merged)))
 
     mcoins = coins.child("measure")
     result = Q2pcBobResult()
@@ -458,12 +460,14 @@ def run_pair(alice_fn, bob_fn, session_id: bytes):
         alice_result = alice_fn(a_ep)
     except channel.PeerClosedError:
         alice_result = None
-    except ProtocolError:
+    except BaseException as exc:
+        # fail closed: release Bob from any pending receive before leaving
         a_ep.close()
         th.join()
         # prefer Bob's own abort, but not the secondary peer-closed error
         # caused by Alice tearing the channel down
-        if "bob_exc" in box and isinstance(box["bob_exc"], ProtocolError):
+        if (isinstance(exc, ProtocolError)
+                and isinstance(box.get("bob_exc"), ProtocolError)):
             raise box["bob_exc"]
         raise
     th.join()

@@ -7,8 +7,9 @@ Conventions (used everywhere, never redeclared):
   * qubit indices are little-endian: qubit q is bit q of the amplitude
     array index, so qubit 0 varies fastest;
   * angles are Angle8 values, integers mod 8 in units of pi/4;
-  * measured qubits are physically removed from the state (recycling),
-    so a column-by-column MBQC evaluation never holds the whole graph;
+  * measured qubits are physically removed from the state, so an MBQC
+    evaluation starts from the whole graph (n*m <= MAX_DENSE_QUBITS) and
+    shrinks by one qubit per measured site;
   * global phase is unobservable: state equality is max-overlap >= 1-eps.
 """
 

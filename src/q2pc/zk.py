@@ -24,7 +24,7 @@ from typing import Callable
 
 from . import lattice, mbqc
 from .channel import canonical_encode
-from .primitives import CoinSource, coin_source, sha256, verify_commitment, xor_bytes
+from .primitives import coin_source, sha256, verify_commitment, xor_bytes
 from .qsim import Angle8
 
 _SIMULATED = object()
@@ -148,14 +148,6 @@ def run_proof(relation: Relation, statement, witness,
 
 # ---------------------------------------------------------- the relations
 
-def rel_commitment() -> Relation:
-    """Statement (com, msg); witness dec: the commitment opens to msg."""
-    def predicate(statement, witness):
-        com, msg = statement
-        return verify_commitment(com, witness, msg)
-    return Relation("commitment-opening", predicate)
-
-
 def rel_keygen(params: lattice.LatticeParams) -> Relation:
     """Statement (com_f, r_f_bob, pk_bytes); witness (r_f_alice, dec_f): the
     commitment opens to Alice's coin share, and the keypair regenerated from
@@ -185,14 +177,3 @@ def rel_delta() -> Relation:
         phi_prime = mbqc.compute_phi_prime(Angle8(phi), sX, sZ)
         return Angle8(delta) == mbqc.compute_delta(phi_prime, Angle8(theta), r)
     return Relation("blind-angle", predicate)
-
-
-def rel_hash_preimage() -> Relation:
-    """Toy quantum-witness relation: statement (target, nbits); witness w
-    with sha256(w as nbits-bit LE string) = target."""
-    def predicate(statement, witness):
-        target, nbits = statement
-        if not (0 <= witness < (1 << nbits)):
-            return False
-        return sha256(int(witness).to_bytes((nbits + 7) // 8, "little")) == target
-    return Relation("hash-preimage", predicate)

@@ -4,7 +4,7 @@ and transport equivalence."""
 import threading
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from q2pc import channel, qsim
@@ -35,6 +35,49 @@ classical = st.recursive(
 @given(classical)
 def test_roundtrip_property(value):
     assert canonical_decode(canonical_encode(value)) == value
+
+
+def test_int_outside_64_bits_fails_closed():
+    for value in (1 << 70, 1 << 63, -(1 << 63) - 1, (1, [1 << 64])):
+        with pytest.raises(channel.ChannelError):
+            canonical_encode(value)
+    for value in ((1 << 63) - 1, -(1 << 63)):
+        assert canonical_decode(canonical_encode(value)) == value
+
+
+BAD_UTF8_ITEM = b"s" + (1).to_bytes(4, "little") + b"\xff"
+DEEP_LISTS = (b"l" + (1).to_bytes(4, "little")) * 5000 + b"n"
+BAD_UTF8_MSG_TYPE = (30).to_bytes(4, "big") + SID + bytes(8) + b"\x00" \
+    + (3).to_bytes(2, "little") + b"\xff\xfe\xfd"
+
+
+def test_malformed_payloads_raise_channel_error():
+    for data in (BAD_UTF8_ITEM, DEEP_LISTS, DEEP_LISTS[5:]):
+        with pytest.raises(channel.ChannelError):
+            canonical_decode(data)
+    with pytest.raises(channel.ChannelError):
+        unframe_message(BAD_UTF8_MSG_TYPE)
+    nested = ()
+    for _ in range(channel.MAX_NESTING - 1):   # the innermost () is a list too
+        nested = (nested,)
+    assert canonical_decode(canonical_encode(nested)) == nested
+
+
+def _framed(body: bytes) -> bytes:
+    return len(body).to_bytes(4, "big") + body
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.binary(max_size=96) | st.binary(min_size=27, max_size=96).map(_framed))
+@example(BAD_UTF8_ITEM)
+@example(DEEP_LISTS)
+@example(BAD_UTF8_MSG_TYPE)
+def test_decoders_fail_closed_on_arbitrary_bytes(data):
+    for decode in (canonical_decode, unframe_message):
+        try:
+            decode(data)
+        except channel.ChannelError:
+            pass
 
 
 def test_statevector_has_no_serializer():

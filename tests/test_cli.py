@@ -70,6 +70,25 @@ def test_compile_fullsim_deviation_rejected(capsys):
     assert json.loads(out)["accepted"] is False
 
 
+def test_q2pc_correctness_on_two_row_pattern(capsys):
+    code, out = run(capsys, "experiment", "q2pc-correctness", "--pattern",
+                    "brick:1,3", "--seed", "3")
+    assert code == 0
+    assert json.loads(out)["passed"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ["oqfe", "run"], ["q2pc", "run"], ["compile", "fullsim"],
+    ["experiment", "extractor"], ["experiment", "simulator-tv"],
+    ["zkpoqk", "demo"]])
+def test_only_tiny_profile_offered(capsys, argv):
+    code = cli.main(argv + ["--profile", "small"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "invalid choice" in captured.err
+    assert "Traceback" not in captured.err + captured.out
+
+
 def test_zkpoqk_demo_extracts(capsys):
     code, out = run(capsys, "zkpoqk", "demo", "--seed", "4",
                     "--witness", "11")

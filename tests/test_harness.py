@@ -4,9 +4,12 @@ cheating strategies."""
 
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from q2pc import harness, lattice, protocols, qsim, zk
+from q2pc import harness, lattice, mbqc, protocols, qsim, zk
 from q2pc.primitives import coin_source
 from q2pc.profiles import get_profile
 from q2pc.qsim import Angle8
@@ -140,6 +143,51 @@ def test_simulated_sample_b0_ignores_s_b():
 def test_unknown_variant_rejected():
     with pytest.raises(harness.HarnessError):
         harness.simulated_view_law(KP, PLUS, 0, "other")
+
+
+# ----------------------------------------------------- blinded pattern law
+
+@st.composite
+def blind_cases(draw):
+    """A random brickwork pattern (n <= 3, n*m <= 8, bridges at rows of one
+    parity per column), a random input state, preparation angles, masks."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 8 // n))
+    phi = tuple(tuple(Angle8(0 if j == 0 else draw(st.integers(0, 7)))
+                      for j in range(m)) for _ in range(n))
+    bridges = tuple((i, j) for j in range(1, m)
+                    for i in range(j % 2, n - 1, 2) if draw(st.booleans()))
+    pattern = mbqc.BrickworkPattern(n, m, phi, bridges)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    psi = qsim.make_state(n, rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n))
+    sites = pattern.sites()[n:]
+    thetas = {s: Angle8(draw(st.integers(0, 7))) for s in sites}
+    masks = {s: draw(st.integers(0, 1)) for s in sites}
+    return pattern, psi, thetas, masks
+
+
+@settings(max_examples=60, deadline=None)
+@given(blind_cases())
+def test_blinded_law_matches_circuit_oracle(case):
+    pattern, psi, thetas, masks = case
+    law = harness.q2pc_blinded_law_exact(pattern, psi, thetas, masks)
+    assert harness.tv_distance(law, mbqc.circuit_model_law(pattern, psi)) <= 1e-9
+    zero = dict.fromkeys(thetas, Angle8(0))
+    assert (harness.q2pc_blinded_law_exact(pattern, psi, zero,
+                                           dict.fromkeys(masks, 0))
+            == mbqc.reference_evaluate(pattern, psi))
+
+
+def test_blinded_law_shares_the_graph_checks():
+    pat = mbqc.rx_teleport_pattern(Angle8(1))
+    two = qsim.tensor(PLUS, PLUS)
+    with pytest.raises(mbqc.MbqcError):
+        harness.q2pc_blinded_law_exact(pat, two, {(0, 1): Angle8(0)}, {(0, 1): 0})
+    wide = mbqc.BrickworkPattern(2, 13, tuple(tuple(Angle8(0) for _ in range(13))
+                                              for _ in range(2)))
+    zero = dict.fromkeys(wide.sites()[wide.n:], 0)
+    with pytest.raises(mbqc.MbqcError):
+        harness.q2pc_blinded_law_exact(wide, two, zero, zero)
 
 
 # ------------------------------------------------------------- extractor

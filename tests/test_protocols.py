@@ -228,6 +228,37 @@ def test_tampered_blind_angle_proof_aborts_before_measurement():
     assert ["site", 0, 1] not in [s[:3] for s in sites]
 
 
+def test_bob_input_width_mismatch_is_an_mbqc_error():
+    two_qubits = qsim.tensor(qsim.plus_state(), qsim.plus_state())
+    with pytest.raises(mbqc.MbqcError):
+        protocols.q2pc_run(mbqc.identity_pattern(), two_qubits, TINY,
+                           seeded(1), backend=rsp.rsp_bob_shortcut)
+
+
+def test_run_pair_fails_closed_on_unexpected_alice_error():
+    bob_threads, outcome = [], {}
+
+    def alice(ep):
+        raise RuntimeError("injected")
+
+    def bob(ep):
+        bob_threads.append(threading.current_thread())
+        ep.expect("never.sent")
+
+    def drive():
+        try:
+            protocols.run_pair(alice, bob, bytes(16))
+        except RuntimeError as exc:
+            outcome["exc"] = exc
+
+    driver = threading.Thread(target=drive, daemon=True)
+    driver.start()
+    driver.join(timeout=30)
+    assert not driver.is_alive(), "run_pair left Bob blocked"
+    assert str(outcome["exc"]) == "injected"
+    assert not bob_threads[0].is_alive()
+
+
 # --------------------------------------------------------- output delivery
 
 def xor_func(x_a, y_b):

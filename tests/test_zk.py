@@ -4,6 +4,7 @@ statement binding, simulation, and the concrete relations."""
 import pytest
 
 from q2pc import lattice, zk
+from q2pc.compilers import rel_opening
 from q2pc.channel import canonical_encode
 from q2pc.primitives import coin_source, commit, xor_bytes
 from q2pc.profiles import get_profile
@@ -19,63 +20,64 @@ def fresh_auth():
 def test_commitment_relation_honest_accept():
     coins = coin_source(b"\x01" * 32, "zk")
     com, dec = commit(b"hello", coins)
-    _, verdict = zk.run_proof(zk.rel_commitment(), (com, b"hello"), dec, fresh_auth())
+    _, verdict = zk.run_proof(rel_opening(), (com,), (b"hello", dec), fresh_auth())
     assert verdict == "accept"
 
 
 def test_commitment_relation_wrong_message_rejects():
     coins = coin_source(b"\x01" * 32, "zk")
     com, dec = commit(b"hello", coins)
-    _, verdict = zk.run_proof(zk.rel_commitment(), (com, b"other"), dec, fresh_auth())
+    _, verdict = zk.run_proof(rel_opening(), (com,), (b"other", dec), fresh_auth())
     assert verdict == "reject"
 
 
 def test_completeness_many_random_sessions():
-    rel = zk.rel_commitment()
+    rel = rel_opening()
     coins = coin_source(b"\x02" * 32, "zk")
     for i in range(200):
         msg = coins.take_bytes(8)
         com, dec = commit(msg, coins)
-        session, verdict = zk.run_proof(rel, (com, msg), dec, fresh_auth())
+        session, verdict = zk.run_proof(rel, (com,), (msg, dec), fresh_auth())
         assert verdict == "accept"
-        assert zk.extract(session) == dec
+        assert zk.extract(session) == (msg, dec)
 
 
 def test_extract_before_accept_raises():
-    rel = zk.rel_commitment()
+    rel = rel_opening()
     auth = fresh_auth()
-    session = zk.new_session(rel, (b"x", b"y"), "verifier", auth)
+    session = zk.new_session(rel, (b"x",), "verifier", auth)
     with pytest.raises(zk.ZkError):
         zk.extract(session)
 
 
 def test_extract_after_reject_raises():
-    rel = zk.rel_commitment()
+    rel = rel_opening()
     coins = coin_source(b"\x03" * 32, "zk")
     com, dec = commit(b"m", coins)
-    session, verdict = zk.run_proof(rel, (com, b"wrong"), dec, fresh_auth())
+    session, verdict = zk.run_proof(rel, (com,), (b"wrong", dec), fresh_auth())
     assert verdict == "reject"
     with pytest.raises(zk.ZkError):
         zk.extract(session)
 
 
 def test_statement_binding_replayed_token_rejected():
-    rel = zk.rel_commitment()
+    rel = rel_opening()
     auth = fresh_auth()
     coins = coin_source(b"\x04" * 32, "zk")
     com, dec = commit(b"m", coins)
-    msgs = zk.prove(zk.new_session(rel, (com, b"m"), "prover", auth), dec)
-    other = zk.new_session(rel, (com, b"m2"), "verifier", auth)
+    other_com, _ = commit(b"m2", coins)
+    msgs = zk.prove(zk.new_session(rel, (com,), "prover", auth), (b"m", dec))
+    other = zk.new_session(rel, (other_com,), "verifier", auth)
     assert zk.verify(other, msgs) == "reject"
 
 
 def test_simulated_token_byte_identical_and_verifies():
-    rel = zk.rel_hash_preimage()
-    from q2pc.primitives import sha256
-    w = 0b1011
-    statement = (sha256(w.to_bytes(1, "little")), 4)
+    rel = rel_opening()
+    coins = coin_source(b"\x08" * 32, "zk")
+    com, dec = commit(b"w", coins)
+    statement = (com,)
     auth1, auth2 = fresh_auth(), fresh_auth()
-    honest = zk.prove(zk.new_session(rel, statement, "prover", auth1), w)
+    honest = zk.prove(zk.new_session(rel, statement, "prover", auth1), (b"w", dec))
     rel_sim = zk.Relation(rel.name, rel.predicate,
                           decide=lambda s: True)  # ideal backend knows truth
     simulated = zk.simulate(rel_sim, statement, auth2)
