@@ -5,9 +5,9 @@ Only classical values can transit: payloads are built by canonical_encode,
 which accepts ints, bytes, strings, booleans, None, and (possibly nested)
 lists/tuples of those, and raises TypeError for anything else -- there is no
 serializer for quantum state types, so quantum data cannot leak through the
-channel by construction.  Ints must fit in signed 64 bits, and decoding
-refuses lists nested deeper than MAX_NESTING; out-of-range values and
-malformed bytes raise ChannelError.
+channel by construction.  Ints must fit in signed 64 bits, and both encoding
+and decoding refuse lists nested deeper than MAX_NESTING; out-of-range
+values, over-deep lists and malformed bytes raise ChannelError.
 
 Wire format, designed for bit-exact replay: a 4-byte big-endian frame length,
 then session_id (16 bytes), seq (8 bytes LE), sender (1 byte, 0=alice
@@ -53,8 +53,9 @@ class TamperError(ChannelError):
 
 # ------------------------------------------------------ canonical encoding
 
-def canonical_encode(value) -> bytes:
-    """Self-describing classical-only encoding; rejects non-classical types."""
+def canonical_encode(value, _depth: int = 0) -> bytes:
+    """Self-describing classical-only encoding; rejects non-classical types
+    and, as the decoder does, lists nested deeper than MAX_NESTING."""
     if value is None:
         return b"n"
     if isinstance(value, bool):
@@ -70,7 +71,9 @@ def canonical_encode(value) -> bytes:
         raw = value.encode("utf-8")
         return b"s" + len(raw).to_bytes(4, "little") + raw
     if isinstance(value, (list, tuple)):
-        body = b"".join(canonical_encode(v) for v in value)
+        if _depth >= MAX_NESTING:
+            raise ChannelError("payload lists nested too deeply")
+        body = b"".join(canonical_encode(v, _depth + 1) for v in value)
         return b"l" + len(value).to_bytes(4, "little") + body
     raise TypeError(
         f"only classical values can transit the channel, not {type(value).__name__}")

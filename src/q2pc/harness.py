@@ -160,8 +160,6 @@ def backend_equivalence_experiment(profile: str | Profile = "tiny",
     prof = get_profile(profile) if isinstance(profile, str) else profile
     kp = lattice.gen_regular(prof.params, coin_source(key_seed, "gen"))
     if trials is None:
-        if not prof.enumeration_allowed:
-            raise HarnessError("exact mode needs an enumerable profile")
         census = lattice.image_census(kp.public)
         regular = [sorted(pre, key=lambda z: z.c)
                    for pre in census.values() if len(pre) == 2]
@@ -389,8 +387,12 @@ def q2pc_blinded_law_exact(pattern: mbqc.BrickworkPattern,
     for every (thetas, r_mask) assignment; enumerating it for the
     assignment an actual protocol run used ties the protocol to the
     circuit-model oracle branch by branch."""
-    prepared = {site: qsim.plus_state(thetas[site])
-                for site in pattern.sites()[pattern.n:]}
+    blinded = pattern.sites()[pattern.n:]
+    for name, table in (("thetas", thetas), ("r_mask", r_mask)):
+        missing = [site for site in blinded if site not in table]
+        if missing:
+            raise mbqc.MbqcError(f"{name} has no entry for site {missing[0]}")
+    prepared = {site: qsim.plus_state(thetas[site]) for site in blinded}
     state = mbqc.entangled_graph_state(pattern, psi_in, prepared)
     return mbqc._branch_law(pattern, state, thetas, r_mask)
 

@@ -15,22 +15,28 @@ Errors live in an integer box [-sigma, sigma]^m (uniform), not a Gaussian:
 the box makes the domain finite so 2-regularity is exhaustively checkable.
 q is a power of two so q/2 is exact.  Security-parameter realism is a
 non-goal; the profiles are sized for exact enumeration, not hardness.
+
+Everything that needs the whole image -- the public 2-regularity check,
+the simulated quantum Bob's sibling preimage, the exact transcript and
+view laws, and inversion when the gadget margin is too tight -- reads one
+ImageCensus per public key: every image of the domain formed at once by
+numpy broadcasting, encoded as a base-q code and stable-sorted, so each
+image point's preimages are one run of domain indices.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .primitives import CoinSource
 
-# q**n at or below this bound: invert may fall back to exhaustive search
-# over s (works at any error radius when gadget margins are too tight).
-_EXHAUSTIVE_S_BOUND = 1 << 12
+# the largest domain an ImageCensus enumerates
+_MAX_DOMAIN = 1 << 20
 
 
 class LatticeError(Exception):
@@ -175,9 +181,8 @@ def gen(params: LatticeParams, randomness: CoinSource) -> TrapdoorKeypair:
 
 
 def is_two_regular(pk: PublicKey) -> bool:
-    """Public exact check that every image point has exactly two preimages
-    (enumerable profiles only)."""
-    return two_regularity_report(pk)["irregular_fraction"] == 0.0
+    """Public exact check that every image point has exactly two preimages."""
+    return bool(np.all(image_census(pk).counts == 2))
 
 
 def gen_regular(params: LatticeParams, randomness: CoinSource,
@@ -185,11 +190,10 @@ def gen_regular(params: LatticeParams, randomness: CoinSource,
     """Rejection-sampled gen: random keys occasionally collide at desk-scale
     parameters, so honest parties redraw until the public 2-regularity check
     passes.  Deterministic in the coin stream, so a verifier rerunning it
-    from the same coins lands on the same key.  Non-enumerable profiles skip
-    the check (2-regularity is assumed there, as in the asymptotic setting)."""
+    from the same coins lands on the same key."""
     for _ in range(max_tries):
         kp = gen(params, randomness)
-        if params.domain_size > 1 << 20 or is_two_regular(kp.public):
+        if is_two_regular(kp.public):
             return kp
     raise LatticeError("no 2-regular key within the retry budget")
 
@@ -222,61 +226,45 @@ def _gadget_margin(kp: TrapdoorKeypair) -> int:
     return int(kp.params.sigma * row_l1)
 
 
-@lru_cache(maxsize=8)
-def _s_table(pk_bytes: bytes, n, m, q, sigma0, sigma) -> np.ndarray:
-    """K @ s for every s in Z_q^n, columns in lexicographic s order."""
-    params = LatticeParams(n, m, q, sigma0, sigma)
-    pk = PublicKey.from_bytes(params, pk_bytes)
-    S = np.array(list(itertools.product(range(q), repeat=n)), dtype=np.int64)
-    return (S, (pk.K @ S.T) % q)
-
-
 def _decode_g(kp: TrapdoorKeypair, t: np.ndarray) -> list[tuple[tuple, tuple]]:
-    """All (s, e) with K s + e = t mod q and e inside the box."""
+    """Gadget decoding: the (s, e) with K s + e = t mod q and e inside the
+    box, if any.  Sound only while T e cannot flip a limb's rounding."""
     p = kp.params
-    sols = []
-    # gadget decoding is only sound when T e cannot flip a limb's rounding
-    if _gadget_margin(kp) <= p.q // 4 - 1:
-        w = p.gadget_rows
-        T = np.hstack([-kp.R, np.eye(w, dtype=np.int64)])
-        v = (T @ t) % p.q
-        k = p.log2q
-        powers = np.array([1 << i for i in range(k)], dtype=np.int64)
-        cands = np.arange(p.q, dtype=np.int64)
-        s = []
-        for j in range(p.n):
-            limbs = v[j * k:(j + 1) * k]
-            errs = np.abs(_centered(limbs[None, :] - cands[:, None] * powers[None, :], p.q))
-            s.append(int(np.argmin(errs.max(axis=1))))
-        e = _centered(t - kp.public.K @ np.array(s, dtype=np.int64), p.q)
-        if np.all(np.abs(e) <= p.sigma):
-            sols.append((tuple(s), tuple(int(x) for x in e)))
-        return sols
-    if p.q ** p.n > _EXHAUSTIVE_S_BOUND:
-        raise LatticeError("parameters admit neither gadget nor exhaustive decoding")
-    S, KS = _s_table(kp.public.to_bytes(), p.n, p.m, p.q, p.sigma0, p.sigma)
-    E = _centered(t[:, None] - KS, p.q)
-    hits = np.flatnonzero(np.all(np.abs(E) <= p.sigma, axis=0))
-    for idx in hits:
-        sols.append((tuple(int(x) for x in S[idx]), tuple(int(x) for x in E[:, idx])))
-    return sols
+    w = p.gadget_rows
+    T = np.hstack([-kp.R, np.eye(w, dtype=np.int64)])
+    v = (T @ t) % p.q
+    k = p.log2q
+    powers = np.array([1 << i for i in range(k)], dtype=np.int64)
+    cands = np.arange(p.q, dtype=np.int64)
+    s = []
+    for j in range(p.n):
+        limbs = v[j * k:(j + 1) * k]
+        errs = np.abs(_centered(limbs[None, :] - cands[:, None] * powers[None, :], p.q))
+        s.append(int(np.argmin(errs.max(axis=1))))
+    e = _centered(t - kp.public.K @ np.array(s, dtype=np.int64), p.q)
+    if np.all(np.abs(e) <= p.sigma):
+        return [(tuple(s), tuple(int(x) for x in e))]
+    return []
 
 
 def invert(kp: TrapdoorKeypair, y: np.ndarray) -> tuple[Preimage, Preimage]:
     """Both preimages of y under f_k, c=0 branch first.
 
-    Raises NotInImageError when none exist, TwoRegularityError when the
-    count is not exactly 2 (boundary collision -- reported, never hidden).
+    Gadget decoding per (c, d) branch when its margin holds; otherwise both
+    preimages are read off the image table.  Raises NotInImageError when
+    none exist, TwoRegularityError when the count is not exactly 2
+    (boundary collision -- reported, never hidden).
     """
     p = kp.params
     y = np.asarray(y, dtype=np.int64) % p.q
-    half = _half_vector(p)
-    sols: list[Preimage] = []
-    for c in (0, 1):
-        for d in (0, 1):
-            t = (y - c * kp.public.y0 - d * half) % p.q
-            for s, e in _decode_g(kp, t):
-                sols.append(Preimage(s, e, c, d))
+    if _gadget_margin(kp) <= p.q // 4 - 1:
+        half = _half_vector(p)
+        sols = [Preimage(s, e, c, d) for c in (0, 1) for d in (0, 1)
+                for s, e in _decode_g(kp, (y - c * kp.public.y0 - d * half) % p.q)]
+    else:
+        # the (c, d, s) order in which the per-branch decoding lists them
+        sols = sorted(image_census(kp.public).get(tuple(y.tolist()), []),
+                      key=lambda z: (z.c, z.d))
     if not sols:
         raise NotInImageError("no preimage within the error box")
     if len(sols) != 2:
@@ -314,34 +302,120 @@ def enumerate_domain(params: LatticeParams):
                     yield Preimage(s, e, c, d)
 
 
-@lru_cache(maxsize=8)
-def _image_census_cached(pk_bytes: bytes, n, m, q, sigma0, sigma):
-    params = LatticeParams(n, m, q, sigma0, sigma)
-    pk = PublicKey.from_bytes(params, pk_bytes)
-    census: dict[tuple, list[Preimage]] = {}
-    for z in enumerate_domain(params):
-        y = tuple(int(v) for v in eval_f(pk, z))
-        census.setdefault(y, []).append(z)
-    return census
+def _box(dim: int, lo: int, hi: int) -> np.ndarray:
+    """Every vector of [lo, hi]^dim as rows, in itertools.product order."""
+    side = hi - lo + 1
+    return np.indices((side,) * dim, dtype=np.int64).reshape(dim, -1).T + lo
 
 
-def image_census(pk: PublicKey) -> dict[tuple, list[Preimage]]:
-    """Exhaustive map image point -> preimage list (enumerable profiles only).
+class ImageCensus(Mapping):
+    """Read-only exact image table of f_k: image point -> preimage list.
+
+    Every image K*s + e + c*y0 + d*(q/2)e_1 is formed at once by
+    broadcasting over the domain in enumerate_domain order (s outer, then
+    e, then c, then d), encoded as the base-q code sum_i y_i q^i, and the
+    codes are stable-sorted with their domain indices, so each image
+    point's preimages are one run of ascending domain indices.  Iteration
+    is in first-seen domain order and each preimage list in domain order,
+    exactly as a dict filled by walking enumerate_domain.  A lookup
+    binary-searches the sorted codes, and Preimage objects are built only
+    for the points looked up.  `counts` holds each point's preimage count
+    in iteration order.  Raises LatticeError on a domain too large to
+    enumerate (codes then stay below q^m < 2^63)."""
+
+    def __init__(self, pk: PublicKey):
+        p = pk.params
+        if p.domain_size > _MAX_DOMAIN:
+            raise LatticeError("domain too large to enumerate")
+        self._params = p
+        S = _box(p.n, 0, p.q - 1)
+        E = _box(p.m, -p.sigma, p.sigma)
+        half = _half_vector(p)
+        shifts = np.array([c * pk.y0 + d * half for c in (0, 1) for d in (0, 1)])
+        images = ((S @ pk.K.T)[:, None, None, :] + E[None, :, None, :]
+                  + shifts[None, None, :, :]) % p.q
+        self._s_rows = list(map(tuple, S.tolist()))
+        self._e_rows = list(map(tuple, E.tolist()))
+        self._images = images.reshape(-1, p.m)
+        self._weights = p.q ** np.arange(p.m, dtype=np.int64)
+        codes = self._images @ self._weights
+        self._order = np.argsort(codes, kind="stable")
+        sorted_codes = codes[self._order]
+        self._starts = np.flatnonzero(np.r_[True, sorted_codes[1:] != sorted_codes[:-1]])
+        self._codes = sorted_codes[self._starts]
+        self._counts = np.diff(np.r_[self._starts, codes.size])
+        # code-order point indices, by the domain index each is first seen at
+        self._seen = np.argsort(self._order[self._starts])
+        self.counts = self._counts[self._seen]
+
+    def _find(self, y) -> int:
+        """Code-order index of image point y, or -1 when y is not an image."""
+        v = np.asarray(y)
+        p = self._params
+        if v.shape != (p.m,) or v.dtype.kind not in "iu" or np.any((v < 0) | (v >= p.q)):
+            return -1
+        code = int(v @ self._weights)
+        i = int(np.searchsorted(self._codes, code))
+        return i if i < self._codes.size and self._codes[i] == code else -1
+
+    def _preimages(self, i: int) -> list[Preimage]:
+        out = []
+        start = self._starts[i]
+        for k in self._order[start:start + self._counts[i]].tolist():
+            rest, cd = divmod(k, 4)
+            s, e = divmod(rest, len(self._e_rows))
+            out.append(Preimage(self._s_rows[s], self._e_rows[e], cd >> 1, cd & 1))
+        return out
+
+    def __getitem__(self, y) -> list[Preimage]:
+        i = self._find(y)
+        if i < 0:
+            raise KeyError(y)
+        return self._preimages(i)
+
+    def __iter__(self):
+        firsts = self._order[self._starts[self._seen]]
+        return map(tuple, self._images[firsts].tolist())
+
+    def __len__(self) -> int:
+        return self._codes.size
+
+    # walk the runs in order instead of looking every point up again
+    def items(self):
+        return _CensusItems(self)
+
+    def values(self):
+        return _CensusValues(self)
+
+
+class _CensusItems(ItemsView):
+    def __iter__(self):
+        census = self._mapping
+        return zip(census, map(census._preimages, census._seen.tolist()))
+
+
+class _CensusValues(ValuesView):
+    def __iter__(self):
+        census = self._mapping
+        return map(census._preimages, census._seen.tolist())
+
+
+def image_census(pk: PublicKey) -> ImageCensus:
+    """The exact image table of pk (see ImageCensus): every image point in
+    first-seen domain order, mapped to its preimages in domain order.
 
     This is simulation plumbing, not a trapdoor: it only needs the public
     key, and the domain must be small enough to walk."""
-    p = pk.params
-    if p.domain_size > 1 << 20:
-        raise LatticeError("domain too large to enumerate")
-    return _image_census_cached(pk.to_bytes(), p.n, p.m, p.q, p.sigma0, p.sigma)
+    return ImageCensus(pk)
 
 
 def two_regularity_report(pk: PublicKey) -> dict:
-    """Exact preimage-count histogram over the image at enumerable profiles."""
+    """Exact preimage-count histogram over the image, read from the table's
+    counts (no preimage is built); histogram keys in first-seen order."""
     census = image_census(pk)
-    counts: dict[int, int] = {}
-    for pre in census.values():
-        counts[len(pre)] = counts.get(len(pre), 0) + 1
+    values, first, number = np.unique(census.counts, return_index=True,
+                                      return_counts=True)
+    counts = {int(values[j]): int(number[j]) for j in np.argsort(first)}
     image_size = len(census)
     bad = sum(v for k, v in counts.items() if k != 2)
     return {

@@ -135,6 +135,14 @@ def accumulate_dependencies(board: OutcomeBoard, pattern: BrickworkPattern,
     return sX, sZ
 
 
+def _check_graph(pattern: BrickworkPattern, input_width: int) -> None:
+    """The grid fits an input of input_width qubits and the dense budget."""
+    if input_width != pattern.n:
+        raise MbqcError("input state width does not match pattern rows")
+    if pattern.n * pattern.m > qsim.MAX_DENSE_QUBITS:
+        raise MbqcError("pattern exceeds dense qubit budget")
+
+
 def entangled_graph_state(pattern: BrickworkPattern,
                           input_state: StateVector,
                           prepared: dict | None = None) -> StateVector:
@@ -142,11 +150,8 @@ def entangled_graph_state(pattern: BrickworkPattern,
     column by column (prepared[(i, j)], default |+>), then a CZ per graph
     edge: the horizontal wires first, then the bridges in listed order.
     Site (i, j) sits at qubit index j*n + i."""
-    if input_state.num_qubits != pattern.n:
-        raise MbqcError("input state width does not match pattern rows")
+    _check_graph(pattern, input_state.num_qubits)
     n, m = pattern.n, pattern.m
-    if n * m > qsim.MAX_DENSE_QUBITS:
-        raise MbqcError("pattern exceeds dense qubit budget")
     state = input_state
     for site in pattern.sites()[n:]:
         state = qsim.tensor(state, qsim.plus_state() if prepared is None

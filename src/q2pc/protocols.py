@@ -346,6 +346,8 @@ def q2pc_bob(ep: Endpoint, psi_in: StateVector, params: LatticeParams,
     shape = BrickworkPattern(n, m, tuple(tuple(Angle8(0) for _ in range(m))
                                          for _ in range(n)),
                              tuple(tuple(b) for b in bridges), input_rows)
+    # fail on a skeleton Bob cannot build before any proof check or RSP run
+    mbqc._check_graph(shape, psi_in.num_qubits)
     sites = _rsp_sites(shape)
     if len(com_phi_list) != len(sites) or len(com_f_list) != 2 * len(sites):
         raise ProtocolAbort("setup", None, "commitment count mismatch")

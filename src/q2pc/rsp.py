@@ -99,8 +99,8 @@ def _sample_image_pair(pk: PublicKey, coins: CoinSource,
     """Uniform regular image point with both preimages; collisions counted.
 
     The sibling preimage comes from the trapdoor when an oracle is supplied
-    (testing plumbing), else from public-key domain enumeration (tiny-scale
-    profiles only)."""
+    (testing plumbing), else from the public key's image table (enumerable
+    domains only)."""
     resamples = 0
     while True:
         z = sample_domain_point(pk.params, coins)
@@ -139,8 +139,9 @@ def rsp_bob_quantum(pk: PublicKey, coins: CoinSource,
     """Quantum Bob: holds the two-term superposition densely and measures it.
 
     Needs the sibling preimage to build the post-collapse state, so it
-    brute-forces the image from the public key; tiny-scale profiles only.
-    raw=True stops before the final H Rz(-pi/2) (8-state second run)."""
+    looks y up in the public key's image table (lattice.image_census);
+    enumerable domains only.  raw=True stops before the final H Rz(-pi/2)
+    (8-state second run)."""
     p = pk.params
     y, x, xp, resamples = _sample_image_pair(pk, coins, None)
     W = p.preimage_bits
@@ -166,8 +167,6 @@ def rsp_bob_shortcut(pk: PublicKey, coins: CoinSource, raw: bool = False,
     """Classical Bob stand-in: samples the honest transcript law and
     reconstructs the held qubit analytically from the preimage pair."""
     p = pk.params
-    if oracle is None and p.domain_size > 1 << 20:
-        raise RspError("sibling preimage needs the testing oracle at this profile")
     y, x, xp, resamples = _sample_image_pair(pk, coins, oracle)
     W = p.preimage_bits
     delta = lattice.encode(p, x) ^ lattice.encode(p, xp)
@@ -234,7 +233,7 @@ def transcript_law(pk: PublicKey) -> dict:
 
     Per-image-point decomposition: y is uniform over the 2-regular part of
     the image, w follows w_law_for_pair.  Both backends sample exactly this
-    law; enumerable profiles only."""
+    law; enumerable domains only."""
     census = lattice.image_census(pk)
     regular = {y: pre for y, pre in census.items() if len(pre) == 2}
     law = {}

@@ -63,6 +63,17 @@ def test_malformed_payloads_raise_channel_error():
     assert canonical_decode(canonical_encode(nested)) == nested
 
 
+def test_encode_refuses_what_decode_refuses():
+    nested = ()
+    for _ in range(channel.MAX_NESTING - 1):   # 64 levels: the innermost () counts
+        nested = (nested,)
+    assert canonical_decode(canonical_encode(nested)) == nested
+    with pytest.raises(channel.ChannelError, match="nested too deeply"):
+        canonical_encode((nested,))            # 65 levels
+    with pytest.raises(channel.ChannelError, match="nested too deeply"):
+        canonical_decode(b"l" + (1).to_bytes(4, "little") + canonical_encode(nested))
+
+
 def _framed(body: bytes) -> bytes:
     return len(body).to_bytes(4, "big") + body
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from q2pc import harness, lattice, mbqc, protocols, qsim, zk
 from q2pc.primitives import coin_source
-from q2pc.profiles import get_profile
+from q2pc.profiles import Profile, get_profile
 from q2pc.qsim import Angle8
 
 TINY = get_profile("tiny").params
@@ -90,8 +90,10 @@ def test_backend_equivalence_exact():
 
 
 def test_backend_equivalence_rejects_large_profiles():
-    with pytest.raises(harness.HarnessError):
-        harness.backend_equivalence_experiment(profile="small")
+    # the image table refuses a domain too large to enumerate
+    large = Profile("large", lattice.LatticeParams(n=2, m=16, q=256, sigma0=1, sigma=4))
+    with pytest.raises(lattice.LatticeError, match="too large to enumerate"):
+        harness.backend_equivalence_experiment(profile=large)
 
 
 def test_backend_equivalence_sampling():
@@ -188,6 +190,17 @@ def test_blinded_law_shares_the_graph_checks():
     zero = dict.fromkeys(wide.sites()[wide.n:], 0)
     with pytest.raises(mbqc.MbqcError):
         harness.q2pc_blinded_law_exact(wide, two, zero, zero)
+
+
+def test_blinded_law_names_a_site_missing_from_thetas_or_masks():
+    pat = mbqc.brick_pattern(Angle8(1), Angle8(3))
+    two = qsim.tensor(PLUS, PLUS)
+    full = dict.fromkeys(pat.sites()[pat.n:], 0)
+    short = dict(full)
+    del short[(1, 1)]
+    for thetas, r_mask, name in ((short, full, "thetas"), (full, short, "r_mask")):
+        with pytest.raises(mbqc.MbqcError, match=rf"{name} .*\(1, 1\)"):
+            harness.q2pc_blinded_law_exact(pat, two, thetas, r_mask)
 
 
 # ------------------------------------------------------------- extractor

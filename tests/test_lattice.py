@@ -1,5 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from q2pc import lattice as lat
 from q2pc import primitives as pr
@@ -9,7 +13,9 @@ from q2pc.profiles import get_profile
 # geometry varies by seed and the fraction is reported, not assumed
 SEED = b"\x04" * 32
 TINY = get_profile("tiny").params
-SMALL = get_profile("small").params
+# larger parameters, too big for the image table: gadget decoding only
+SMALL = lat.LatticeParams(n=2, m=16, q=256, sigma0=1, sigma=4)
+DEMO = lat.LatticeParams(n=4, m=64, q=4096, sigma0=2, sigma=32)
 
 
 def keypair(seed=SEED, params=TINY):
@@ -164,7 +170,7 @@ def test_trapdoor_completeness_small_profile():
 
 
 def test_gadget_decode_demo_profile():
-    p = get_profile("demo").params
+    p = DEMO
     kp = lat.gen(p, pr.coin_source(SEED, "gen-demo"))
     src = pr.coin_source(SEED, "demo-z")
     # moderate errors so gadget decoding margin holds; exercises the
@@ -198,3 +204,65 @@ def test_public_key_serialization_roundtrip():
     back = lat.PublicKey.from_bytes(TINY, blob)
     assert np.array_equal(back.K, kp.public.K)
     assert np.array_equal(back.y0, kp.public.y0)
+
+
+def loop_census(pk):
+    """Oracle coded apart from the image table: one eval_f per domain point,
+    appended to a dict in enumerate_domain order."""
+    census = {}
+    for z in lat.enumerate_domain(pk.params):
+        census.setdefault(tuple(int(v) for v in lat.eval_f(pk, z)), []).append(z)
+    return census
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.binary(min_size=32, max_size=32))
+def test_image_table_matches_the_loop_census(seed):
+    kp = keypair(seed)
+    oracle = loop_census(kp.public)
+    table = lat.image_census(kp.public)
+    # same points, same first-seen order, same preimage lists in domain order
+    assert list(table.items()) == list(oracle.items())
+    assert list(table.values()) == list(oracle.values())
+    assert list(table) == list(oracle) and len(table) == len(oracle)
+    for y in list(oracle)[:20]:
+        assert y in table and table[y] == oracle[y]
+    for miss in ((TINY.q,) + (0,) * (TINY.m - 1), (0,) * (TINY.m + 1)):
+        assert miss not in table and table.get(miss) is None
+    hist = {}
+    for pres in oracle.values():
+        hist[len(pres)] = hist.get(len(pres), 0) + 1
+    bad = sum(v for k, v in hist.items() if k != 2)
+    assert lat.two_regularity_report(kp.public) == {
+        "image_size": len(oracle), "count_histogram": hist,
+        "irregular_fraction": bad / len(oracle)}
+    assert lat.is_two_regular(kp.public) == (bad == 0)
+    # invert (gadget or table path, by the key's margin) agrees with the oracle
+    for y, pres in list(oracle.items())[:20]:
+        if len(pres) == 2:
+            assert lat.invert(kp, np.array(y)) == tuple(sorted(pres, key=lambda z: z.c))
+        else:
+            with pytest.raises(lat.TwoRegularityError):
+                lat.invert(kp, np.array(y))
+
+
+# SHA-256 of the public key gen_regular accepts from these coins; the keys
+# (and so every seeded transcript) must not move when the census changes
+GOLDEN_KEYS = {
+    bytes([4]) * 32: "575ae5ea1e241533fb22a4acb5b386a9033fb23398e442077ae9e8a301af6f37",
+    bytes([8]) * 32: "d5b88b3781dde6eb2ced24cc9db27c1e3dffb501200e6bbd791d65352a94661a",
+}
+
+
+def test_gen_regular_keys_are_pinned():
+    for seed, digest in GOLDEN_KEYS.items():
+        kp = lat.gen_regular(TINY, pr.coin_source(seed, "gen"))
+        assert hashlib.sha256(kp.public.to_bytes()).hexdigest() == digest
+
+
+def test_image_table_refuses_a_domain_too_large_to_enumerate():
+    kp = keypair(params=SMALL)
+    with pytest.raises(lat.LatticeError, match="too large to enumerate"):
+        lat.image_census(kp.public)
+    with pytest.raises(lat.LatticeError, match="too large to enumerate"):
+        lat.gen_regular(SMALL, pr.coin_source(SEED, "gen"))

@@ -235,6 +235,28 @@ def test_bob_input_width_mismatch_is_an_mbqc_error():
                            seeded(1), backend=rsp.rsp_bob_shortcut)
 
 
+@pytest.mark.parametrize("pattern, width", [
+    (mbqc.identity_pattern(), 2),                                  # width mismatch
+    (mbqc.BrickworkPattern(1, 25, ((Angle8(0),) * 25,)), 1)])      # 25 > 24 qubits
+def test_bob_checks_the_pattern_before_any_rsp_run(pattern, width):
+    psi = qsim.basis_state(width, 0)
+    auth = zk.ZkAuthority()
+    bob_eps = []
+
+    def bob(ep):
+        bob_eps.append(ep)
+        return protocols.q2pc_bob(ep, psi, TINY, coin_source(seeded(2), "bob"),
+                                  rsp.rsp_bob_shortcut, auth)
+
+    with pytest.raises(mbqc.MbqcError):
+        protocols.run_pair(
+            lambda ep: protocols.q2pc_alice(ep, pattern, TINY,
+                                            coin_source(seeded(2), "alice"), auth),
+            bob, bytes(16))
+    sent = [msg.msg_type for msg in bob_eps[0].transcript.messages]
+    assert sent == ["q2pc.commit"]
+
+
 def test_run_pair_fails_closed_on_unexpected_alice_error():
     bob_threads, outcome = [], {}
 
