@@ -14,7 +14,8 @@ then session_id (16 bytes), seq (8 bytes LE), sender (1 byte, 0=alice
 1=bob), msg_type (2-byte LE length + UTF-8), payload bytes.  seq counts all
 messages on the session (sent plus received at each endpoint), so the two
 endpoints of an alternating protocol agree on it; a gap or repeat raises
-TamperError.
+TamperError.  The TCP transport refuses a frame that announces more than
+MAX_FRAME_BYTES before reading its body.
 
 Transcript files are diff-able: one JSON header line, then one lowercase-hex
 framed message per line.
@@ -33,6 +34,7 @@ BOB = "bob"
 _SENDER_CODE = {ALICE: 0, BOB: 1}
 _SENDER_NAME = {0: ALICE, 1: BOB}
 MAX_NESTING = 64
+MAX_FRAME_BYTES = 1 << 24
 
 
 class ChannelError(Exception):
@@ -307,6 +309,9 @@ class _TcpTransport:
     def recv_bytes(self) -> bytes:
         head = self._recv_exact(4)
         (ln,) = struct.unpack(">I", head)
+        if ln > MAX_FRAME_BYTES:
+            raise FramingError(f"announced frame of {ln} bytes exceeds "
+                               f"MAX_FRAME_BYTES = {MAX_FRAME_BYTES}")
         return head + self._recv_exact(ln)
 
     def close(self):

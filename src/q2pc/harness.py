@@ -169,14 +169,17 @@ def backend_equivalence_experiment(profile: str | Profile = "tiny",
         # y-average of the per-point w-law TVs.  Where the dense quantum
         # branch enumeration is run, it stands in for the quantum backend's
         # law; elsewhere the two conditionals are the same formula by
-        # construction, contributing zero.
+        # construction, contributing zero.  The analytic law's support is
+        # all 2^W strings when the hardcore bits differ, else the even
+        # half-space, so it is counted without building the law.
+        W = prof.params.preimage_bits
         tv = 0.0
         max_dev = 0.0
         support = 0
         for idx, (x, xp) in enumerate(regular):
-            analytic = rsp.w_law_for_pair(prof.params, x, xp)
-            support += len(analytic)
+            support += 1 << (W - 1 + (lattice.hardcore(x) ^ lattice.hardcore(xp)))
             if idx < validate_points:
+                analytic = rsp.w_law_for_pair(prof.params, x, xp)
                 dense = {w: pr for w, (pr, _res)
                          in rsp.w_law_dense(prof.params, x, xp).items()}
                 point_tv = tv_distance(analytic, dense)
@@ -240,14 +243,13 @@ def _view_classes(kp: TrapdoorKeypair) -> list[dict]:
     the real w law lives on the even half-space while the literal simulator
     spreads w uniformly, which is where nearly all of its TV comes from."""
     census = lattice.image_census(kp.public)
-    regular = {y: pre for y, pre in census.items() if len(pre) == 2}
-    if len(regular) != len(census):
+    if np.any(census.counts != 2):
         raise HarnessError("view-law lumping assumes a fully 2-regular key")
     W = kp.params.preimage_bits
-    p_y = 1.0 / len(regular)
+    p_y = 1.0 / len(census)
     acc: dict[tuple, dict] = {}
-    for pre in regular.values():
-        x, xp = sorted(pre, key=lambda z: z.c)
+    # a class depends on the pair's hardcore bits only, not on their order
+    for x, xp in census.values():
         hx, hxp = lattice.hardcore(x), lattice.hardcore(xp)
         theta2, hh = hx ^ hxp, hx * hxp
         for parity in (0, 1):
@@ -273,8 +275,12 @@ def _view_classes(kp: TrapdoorKeypair) -> list[dict]:
 def real_view_law(kp: TrapdoorKeypair, psi_in: StateVector, b: int) -> dict:
     """Exact class-lumped law of Alice's semi-honest view, conditioned on
     the keypair; keys are (b, class_key, r_a, m0, s_bar)."""
+    return _real_view_law(_view_classes(kp), psi_in, b)
+
+
+def _real_view_law(classes: list[dict], psi_in: StateVector, b: int) -> dict:
     law: dict[tuple, float] = {}
-    for cl in _view_classes(kp):
+    for cl in classes:
         theta1, theta2 = cl["theta1"], cl["theta2"]
         if cl["p_real"] == 0.0:
             continue
@@ -298,11 +304,16 @@ def simulated_view_law(kp: TrapdoorKeypair, psi_in: StateVector, b: int,
                        variant: str = "corrected") -> dict:
     """Exact class-lumped law of the simulator's output, same keys and
     conditioning as real_view_law."""
+    return _simulated_view_law(_view_classes(kp), psi_in, b, variant)
+
+
+def _simulated_view_law(classes: list[dict], psi_in: StateVector, b: int,
+                        variant: str) -> dict:
     if variant not in ("corrected", "literal"):
         raise HarnessError(f"unknown simulator variant {variant!r}")
     ideal = born_rx_law(psi_in, b)
     law: dict[tuple, float] = {}
-    for cl in _view_classes(kp):
+    for cl in classes:
         theta1 = cl["theta1"]
         p_cl = cl["p_real"] if variant == "corrected" else cl["p_literal"]
         if p_cl == 0.0:
@@ -363,10 +374,11 @@ def simulator_tv_experiment(psi_in: StateVector, b: int,
                             variant: str = "corrected") -> DistributionReport:
     params = get_profile(profile).params
     kp = lattice.gen_regular(params, coin_source(key_seed, "gen"))
-    real = real_view_law(kp, psi_in, b)
-    sim = simulated_view_law(kp, psi_in, b, variant)
+    classes = _view_classes(kp)
+    real = _real_view_law(classes, psi_in, b)
+    sim = _simulated_view_law(classes, psi_in, b, variant)
     tv = tv_distance(real, sim)
-    raw_pairs = sum(cl["n_pairs"] for cl in _view_classes(kp))
+    raw_pairs = sum(cl["n_pairs"] for cl in classes)
     return DistributionReport(
         "simulator-tv", "exact-enumeration", len(set(real) | set(sim)),
         tv, 0.05, tv <= 0.05,

@@ -1,7 +1,12 @@
 """Measurement-based computation scaffolding: brickwork patterns, flow
 dependencies, blind-angle arithmetic, the graph-state builder, and the
-exact adaptive branch walk behind both the plain reference law and the
-blinded law (harness.q2pc_blinded_law_exact).
+exact adaptive walk behind both the plain reference law and the blinded
+law (harness.q2pc_blinded_law_exact).  The walk holds every measurement
+branch at once, one row per outcome history (qsim.split_branches), and
+takes each site's adaptive angle from the history bits by numpy XOR, so
+an n x m pattern costs n*m vectorized steps over at most 2^(n*m)
+amplitudes each.  circuit_model_law, the independent oracle, does not use
+it: it reads its Z law straight off the circuit state's amplitudes.
 
 A pattern is an n x m grid measured column-major, every site in the (X,Y)
 plane.  Column 0 is the input column (the input state itself, measured at
@@ -24,8 +29,11 @@ the vertical CZ.  Blind-angle arithmetic, in Angle8 units of pi/4:
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from . import qsim
 from .qsim import Angle8, StateVector
@@ -107,10 +115,6 @@ class OutcomeBoard:
         self.raw[site] = raw_bit
         self.s_bar[site] = raw_bit ^ r
 
-    def forget(self, site):
-        del self.raw[site]
-        del self.s_bar[site]
-
 
 def compute_phi_prime(phi: Angle8, sX: int, sZ: int) -> Angle8:
     base = -Angle8(phi) if sX else Angle8(phi)
@@ -167,34 +171,44 @@ def entangled_graph_state(pattern: BrickworkPattern,
 def _branch_law(pattern: BrickworkPattern, state: StateVector,
                 thetas: dict, r_mask: dict) -> dict:
     """Exact output-bitstring law {(bits row 0..n-1): prob} of the adaptive
-    measurement walk over a built graph state, by branch enumeration.  The
-    input column is measured unblinded; every other site s at
-    delta(phi', thetas[s], r_mask[s]), its outcome unmasked by r_mask[s]."""
-    sites = pattern.sites()
-    law: dict[tuple, float] = {}
-    board = OutcomeBoard()
+    measurement walk over a built graph state.  The input column is
+    measured unblinded; every other site s at delta(phi', thetas[s],
+    r_mask[s]), its outcome unmasked by r_mask[s].
 
-    def walk(st: StateVector, idx: int, prob: float):
-        if idx == len(sites):
-            key = tuple(board.s_bar[s] for s in pattern.output_sites())
-            law[key] = law.get(key, 0.0) + prob
-            return
-        site = sites[idx]
-        sX, sZ = accumulate_dependencies(board, pattern, site)
-        angle = compute_phi_prime(pattern.phi[site[0]][site[1]], sX, sZ)
+    All branches are walked at once, site by site (qsim.split_branches):
+    row k holds the branch whose raw outcomes are the bits of history[k],
+    so a site's corrected dependency bits, and with them its phi' and
+    delta, are one numpy XOR per dependency over the rows.  Column-major
+    order makes the pending site live qubit 0 of every row."""
+    sites = pattern.sites()
+    index = {site: k for k, site in enumerate(sites)}
+    amps = state.amplitudes.reshape(1, -1)
+    history = np.zeros(1, dtype=np.int64)
+    r_bits = 0   # r of each measured site, laid out as in history
+    for k, site in enumerate(sites):
+        s_bar = history ^ r_bits   # site d's corrected outcome: bit k-1-index[d]
+        sX = sZ = 0
+        for dep in pattern.x_dep(site):
+            sX = sX ^ (s_bar >> (k - 1 - index[dep]))
+        for dep in pattern.z_dep(site):
+            sZ = sZ ^ (s_bar >> (k - 1 - index[dep]))
+        phi = int(pattern.phi[site[0]][site[1]])
+        angle = np.where(sX & 1, -phi, phi) + 4 * (sZ & 1)
         r = 0
         if site[1] > 0:
-            r = r_mask[site]
-            angle = compute_delta(angle, thetas[site], r)
-        # column-major order means the pending site is always live index 0
-        for outcome, (p, post) in enumerate(qsim.branch_in_plane(st, 0, angle)):
-            if post is None:
-                continue
-            board.record(site, outcome, r)
-            walk(post, idx + 1, prob * p)
-            board.forget(site)
-
-    walk(state, 0, 1.0)
+            r = r_mask[site] & 1
+            angle = angle + int(thetas[site]) + 4 * r
+        amps, history = qsim.split_branches(amps, history, 0, angle)
+        r_bits = (r_bits << 1) | r
+    # the output column is measured last: row i's bit is bit n-1-i
+    keys = (history ^ r_bits) & ((1 << pattern.n) - 1)
+    probs = amps[:, 0].real ** 2 + amps[:, 0].imag ** 2
+    totals = np.bincount(keys, weights=probs, minlength=1 << pattern.n)
+    _, first = np.unique(keys, return_index=True)
+    law = {}
+    for key in keys[np.sort(first)].tolist():   # in order of first branch
+        bits = tuple((key >> (pattern.n - 1 - i)) & 1 for i in range(pattern.n))
+        law[bits] = float(totals[key])
     if abs(sum(law.values()) - 1.0) > 1e-9:
         raise MbqcError("branch probabilities do not sum to 1")
     return law
@@ -221,11 +235,13 @@ def circuit_model_law(pattern: BrickworkPattern,
         for i in range(pattern.n):
             state = qsim.apply_gate(state, ("RZ", -pattern.phi[i][j]), i)
             state = qsim.apply_gate(state, "H", i)
-    plan = [(i, "Z") for i in range(pattern.n)]
+    # Z law straight from the amplitudes; qubit i is bit i of the index
     law: dict[tuple, float] = {}
-    for br in qsim.enumerate_branches(state, plan):
-        if not br.impossible:
-            law[br.outcomes] = law.get(br.outcomes, 0.0) + br.probability
+    for bits in itertools.product((0, 1), repeat=pattern.n):
+        amp = state.amplitudes[sum(b << i for i, b in enumerate(bits))]
+        p = float(amp.real ** 2 + amp.imag ** 2)
+        if p >= qsim._DEGENERATE_TOL:
+            law[bits] = p
     return law
 
 

@@ -7,14 +7,19 @@ Conventions (used everywhere, never redeclared):
   * qubit indices are little-endian: qubit q is bit q of the amplitude
     array index, so qubit 0 varies fastest;
   * angles are Angle8 values, integers mod 8 in units of pi/4;
-  * measured qubits are physically removed from the state, so an MBQC
-    evaluation starts from the whole graph (n*m <= MAX_DENSE_QUBITS) and
-    shrinks by one qubit per measured site;
+  * measured qubits are physically removed from the state;
+  * exact branch enumeration (split_branches, behind enumerate_branches
+    and the MBQC laws) holds every branch at once, unnormalized, as one
+    (branches, 2**live) array: each measurement doubles the rows and
+    halves the row width, so an MBQC evaluation of the whole graph
+    (n*m <= MAX_DENSE_QUBITS) holds at most 2**(n*m) amplitudes at every
+    step;
   * global phase is unobservable: state equality is max-overlap >= 1-eps.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -251,38 +256,72 @@ class Branch:
     impossible: bool
 
 
+def split_branches(amps: np.ndarray, history: np.ndarray, qubit: int,
+                   basis) -> tuple[np.ndarray, np.ndarray]:
+    """One measurement of live qubit `qubit` on every branch at once.
+
+    amps is (branches, 2**live) and unnormalized: row k is the branch whose
+    outcomes so far are the bits of history[k] (first outcome most
+    significant), and |row|^2 is its probability.  basis is 'Z' or Angle8
+    values, one for every row or an integer array with one per row; an
+    in-plane outcome is 0 on |+_angle>, so the children of (lo, hi) are
+    (lo +- e^{-i angle pi/4} hi)/sqrt(2).  Returns the children's
+    (amps, history), (branches', 2**(live-1)), still in history order; a
+    child whose conditional probability is below the degenerate tolerance
+    is dropped, and so are all its descendants."""
+    rows, width = amps.shape
+    parts = amps.reshape(rows, width >> (qubit + 1), 2, 1 << qubit)
+    lo, hi = parts[:, :, 0, :], parts[:, :, 1, :]
+    if isinstance(basis, str):
+        if basis != "Z":
+            raise QsimError(f"unknown basis {basis!r}")
+        pair = (lo, hi)
+    else:
+        angle = np.asarray(basis, dtype=np.int64) % 8
+        hi = hi * np.exp(-0.25j * math.pi * angle).reshape(-1, 1, 1)
+        pair = ((lo + hi) / math.sqrt(2), (lo - hi) / math.sqrt(2))
+    children = np.stack(pair, axis=1).reshape(2 * rows, width >> 1)
+    weights = (children.real ** 2 + children.imag ** 2).sum(axis=1)
+    parent = weights.reshape(rows, 2).sum(axis=1)
+    keep = weights >= _DEGENERATE_TOL * np.repeat(parent, 2)
+    history = (np.repeat(history, 2) << 1) | np.tile((0, 1), rows)
+    return children[keep], history[keep]
+
+
 def enumerate_branches(state: StateVector, plan) -> list[Branch]:
-    """All measurement branches for an ordered plan of (qubit, 'Z'|Angle8).
+    """All measurement branches for an ordered plan of (qubit, 'Z'|Angle8),
+    in outcome order (first outcome most significant).
 
     Plan qubits are indices into the *initial* state; the bookkeeping for
-    qubit removal is internal. Zero-probability branches are retained and
-    flagged so callers can assert exactly which outcomes are forbidden.
+    qubit removal is internal.  Every branch is walked at once by
+    split_branches.  Zero-probability branches are retained and flagged so
+    callers can assert exactly which outcomes are forbidden.
     """
     qubits = [q for q, _ in plan]
     if len(set(qubits)) != len(qubits):
         raise QsimError("plan qubits must be distinct")
-
-    results: list[Branch] = []
-
-    def walk(st: StateVector | None, live: list[int], idx: int, outs: tuple, prob: float):
-        if idx == len(plan):
-            results.append(Branch(outs, prob, st, st is None))
-            return
-        q, basis = plan[idx]
-        if st is None:  # inside an impossible branch: enumerate outcomes with p=0
-            for outcome in (0, 1):
-                walk(None, live, idx + 1, outs + (outcome,), 0.0)
-            return
+    live = list(range(state.num_qubits))
+    amps = state.amplitudes.reshape(1, -1)
+    history = np.zeros(1, dtype=np.int64)
+    for q, basis in plan:
+        if q not in live:
+            raise QsimError(f"qubit {q} out of range")
         cur = live.index(q)
-        if basis == "Z":
-            branches = branch_z(st, cur)
+        amps, history = split_branches(
+            amps, history, cur, basis if basis == "Z" else Angle8(basis))
+        del live[cur]
+    probs = (amps.real ** 2 + amps.imag ** 2).sum(axis=1)
+    residuals = amps / np.sqrt(probs)[:, None]
+    row = np.full(1 << len(plan), -1)   # history -> row, -1 when dropped
+    row[history] = np.arange(len(history))
+    results = []
+    # product() yields the outcome tuples in history order
+    for outs, k in zip(itertools.product((0, 1), repeat=len(plan)), row):
+        if k < 0:
+            results.append(Branch(outs, 0.0, None, True))
         else:
-            branches = branch_in_plane(st, cur, Angle8(basis))
-        nxt = live[:cur] + live[cur + 1:]
-        for outcome, (p, post) in enumerate(branches):
-            walk(post, nxt, idx + 1, outs + (outcome,), prob * p)
-
-    walk(state, list(range(state.num_qubits)), 0, (), 1.0)
+            results.append(Branch(outs, float(probs[k]),
+                                  StateVector(len(live), residuals[k]), False))
     total = sum(b.probability for b in results)
     if abs(total - 1.0) > _NORM_TOL:
         raise QsimError("branch probabilities do not sum to 1")

@@ -205,11 +205,14 @@ def rsp_alice_decode(kp: TrapdoorKeypair, y, w_meas) -> RspAliceOutput:
 def w_law_for_pair(params: LatticeParams, x: Preimage, xp: Preimage) -> dict:
     """Exact conditional law of w given the image point, {w_int: prob}."""
     W = params.preimage_bits
-    delta = lattice.encode(params, x) ^ lattice.encode(params, xp)
     if lattice.hardcore(x) ^ lattice.hardcore(xp):
-        return {w: 1.0 / (1 << W) for w in range(1 << W)}
-    return {w: 1.0 / (1 << (W - 1)) for w in range(1 << W)
-            if _inner_parity(w, delta) == 0}
+        return dict.fromkeys(range(1 << W), 1.0 / (1 << W))
+    delta = lattice.encode(params, x) ^ lattice.encode(params, xp)
+    # parity[w] = <w, delta> mod 2, doubled one bit of w at a time
+    parity = np.zeros(1, dtype=np.int8)
+    for i in range(W):
+        parity = np.concatenate((parity, parity ^ ((delta >> i) & 1)))
+    return dict.fromkeys(np.flatnonzero(parity == 0).tolist(), 1.0 / (1 << (W - 1)))
 
 
 def w_law_dense(params: LatticeParams, x: Preimage, xp: Preimage) -> dict:

@@ -1,6 +1,8 @@
 """Channel layer: canonical encoding, framing, seq accounting, transcripts,
 and transport equivalence."""
 
+import socket
+import struct
 import threading
 
 import pytest
@@ -245,3 +247,19 @@ def test_tcp_transport_matches_inproc_bytes():
     b2.send("pong", 42)
     a2.recv()
     assert first_divergence(alice.transcript, a2.transcript) is None
+
+
+def test_tcp_oversized_frame_fails_closed():
+    """A peer announcing a 4 GiB frame is refused before any body is read;
+    the receive timeout turns a transport that trusts the length (and
+    waits for the body) into a failure instead of a hang."""
+    sender, receiver = socket.socketpair()
+    receiver.settimeout(5)
+    try:
+        sender.sendall(struct.pack(">I", 2 ** 32 - 1))
+        ep = channel.Endpoint(SID, channel.BOB, channel._TcpTransport(receiver))
+        with pytest.raises(channel.ChannelError, match="MAX_FRAME_BYTES"):
+            ep.recv()
+    finally:
+        sender.close()
+        receiver.close()

@@ -180,6 +180,26 @@ def test_blinded_law_matches_circuit_oracle(case):
             == mbqc.reference_evaluate(pattern, psi))
 
 
+@pytest.mark.parametrize("n,m,seed", [(3, 5, 1), (3, 5, 2), (4, 4, 3), (4, 4, 4)])
+def test_large_brickwork_laws_match_circuit_oracle(n, m, seed):
+    """Sizes the branch walk reaches now that every branch is walked at
+    once: 3x5 and 4x4 random brickwork, random input, angles and masks."""
+    rng = np.random.default_rng(seed)
+    phi = tuple(tuple(Angle8(0 if j == 0 else rng.integers(8)) for j in range(m))
+                for _ in range(n))
+    bridges = tuple((i, j) for j in range(1, m) for i in range(j % 2, n - 1, 2)
+                    if rng.integers(2))
+    pattern = mbqc.BrickworkPattern(n, m, phi, bridges)
+    psi = qsim.make_state(n, rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n))
+    sites = pattern.sites()[n:]
+    thetas = {s: Angle8(rng.integers(8)) for s in sites}
+    masks = {s: int(rng.integers(2)) for s in sites}
+    oracle = mbqc.circuit_model_law(pattern, psi)
+    assert harness.tv_distance(mbqc.reference_evaluate(pattern, psi), oracle) <= 1e-9
+    blinded = harness.q2pc_blinded_law_exact(pattern, psi, thetas, masks)
+    assert harness.tv_distance(blinded, oracle) <= 1e-9
+
+
 def test_blinded_law_shares_the_graph_checks():
     pat = mbqc.rx_teleport_pattern(Angle8(1))
     two = qsim.tensor(PLUS, PLUS)

@@ -151,6 +151,63 @@ def test_enumerate_matches_sampling():
         assert abs(freq.get(b.outcomes, 0) / n - p) <= max(bound, 0.02)
 
 
+@st.composite
+def branch_cases(draw):
+    """A state of <= 5 qubits, sparse enough that some branches are
+    impossible, and a plan over some of its qubits in random order, each
+    measured in Z or in-plane at a random angle."""
+    n = draw(st.integers(1, 5))
+    values = st.sampled_from((0, 0, 0, 1, -1, 1j, 0.5 - 0.25j, -0.75 + 1j))
+    amps = draw(st.lists(values, min_size=1 << n, max_size=1 << n))
+    if not any(amps):
+        amps[draw(st.integers(0, (1 << n) - 1))] = 1
+    qubits = draw(st.permutations(range(n)))[:draw(st.integers(0, n))]
+    bases = st.one_of(st.just("Z"), st.integers(0, 7).map(Angle8))
+    return make_state(n, amps), [(q, draw(bases)) for q in qubits]
+
+
+def branch_by_branch(state, plan):
+    """Oracle: each branch walked on its own with branch_z/branch_in_plane,
+    one plan step at a time; (outcomes, probability, post state or None)."""
+    level = [((), 1.0, state, list(range(state.num_qubits)))]
+    for q, basis in plan:
+        nxt = []
+        for outs, prob, st_, live in level:
+            if st_ is None:
+                nxt += [(outs + (o,), 0.0, None, live) for o in (0, 1)]
+                continue
+            cur = live.index(q)
+            rest = live[:cur] + live[cur + 1:]
+            pairs = (qsim.branch_z(st_, cur) if basis == "Z"
+                     else branch_in_plane(st_, cur, basis))
+            nxt += [(outs + (o,), prob * p, post, rest)
+                    for o, (p, post) in enumerate(pairs)]
+        level = nxt
+    return [(outs, prob, st_) for outs, prob, st_, _live in level]
+
+
+@settings(max_examples=150, deadline=None)
+@given(branch_cases())
+def test_enumerate_branches_matches_branch_by_branch_oracle(case):
+    state, plan = case
+    got = enumerate_branches(state, plan)
+    want = branch_by_branch(state, plan)
+    assert [b.outcomes for b in got] == [outs for outs, _p, _st in want]
+    for b, (_outs, p, post) in zip(got, want):
+        assert abs(b.probability - p) <= 1e-12
+        assert b.impossible == (post is None)
+        if post is not None:
+            assert qsim.overlap(b.residual, post) >= 1 - 1e-12
+
+
+def test_enumerate_branches_rejects_unknown_qubits_and_bases():
+    with pytest.raises(qsim.QsimError):
+        enumerate_branches(plus_state(), [(1, "Z")])
+    with pytest.raises(qsim.QsimError):
+        qsim.split_branches(plus_state().amplitudes.reshape(1, -1),
+                            np.zeros(1, dtype=np.int64), 0, "Y")
+
+
 def test_two_term_dense():
     assert qsim.overlap(two_term_to_dense(TwoTermState(1, 0, 1, 1.0)), plus_state()) > 1 - 1e-12
     dense = two_term_to_dense(TwoTermState(2, 0b00, 0b11, -1.0))
