@@ -265,7 +265,7 @@ def toy_prover_answers(state: StateVector, challenges: list,
     """Measure the witness register once, then answer the parity questions."""
     w = 0
     for q in range(state.num_qubits):
-        bit, state = qsim.measure_z(state, 0, coins)
+        bit, state = qsim.measure(state, 0, "Z", coins)
         w |= bit << q
     return [bin(w & c).count("1") & 1 for c in challenges]
 
@@ -342,21 +342,15 @@ def zkpoqk_prover(ep: Endpoint, state: StateVector, instance: ToyCpoqk,
     tokens = zk.prove(zk.new_session(rel_opening(), (com_sk,), "prover",
                                      authority), (sk.sk, dec_sk))
     ep.send("zk.token", tokens[0])
-    mcoins = coins.child("measure")
     challenges = [ep.expect("zkpoqk.vmsg").value()
                   for _ in range(instance.rounds)]
+    answers = toy_prover_answers(state, challenges, coins.child("measure"))
     enc_list = []
-    w_state = state
-    w = 0
-    for q in range(state.num_qubits):
-        bit, w_state = qsim.measure_z(w_state, 0, mcoins)
-        w |= bit << q
-    for i, c in enumerate(challenges):
+    for i, answer in enumerate(answers):
         if deviation == "random-encryptions":
             enc = coins.child(f"noise/{i}").take_bytes(
                 len(_round_plaintext(i, 0)))
         else:
-            answer = bin(w & c).count("1") & 1
             enc = otp_encrypt(enc_key, _round_plaintext(i, answer),
                               _round_nonce(ep.session_id, i))
         enc_list.append(enc)

@@ -161,8 +161,7 @@ def backend_equivalence_experiment(profile: str | Profile = "tiny",
     kp = lattice.gen_regular(prof.params, coin_source(key_seed, "gen"))
     if trials is None:
         census = lattice.image_census(kp.public)
-        regular = [sorted(pre, key=lambda z: z.c)
-                   for pre in census.values() if len(pre) == 2]
+        regular = [bits for bits in census.hardcore_bits() if len(bits) == 2]
         p_y = 1.0 / len(regular)
         # Both backends draw y uniformly over the regular image and then w
         # from the same per-point conditional, so the transcript TV is the
@@ -171,20 +170,19 @@ def backend_equivalence_experiment(profile: str | Profile = "tiny",
         # law; elsewhere the two conditionals are the same formula by
         # construction, contributing zero.  The analytic law's support is
         # all 2^W strings when the hardcore bits differ, else the even
-        # half-space, so it is counted without building the law.
+        # half-space, so it is counted from the hardcore bits alone.
         W = prof.params.preimage_bits
+        support = sum(1 << (W - 1 + (hx ^ hxp)) for hx, hxp in regular)
+        validated = itertools.islice(
+            (pre for pre in census.values() if len(pre) == 2), validate_points)
         tv = 0.0
         max_dev = 0.0
-        support = 0
-        for idx, (x, xp) in enumerate(regular):
-            support += 1 << (W - 1 + (lattice.hardcore(x) ^ lattice.hardcore(xp)))
-            if idx < validate_points:
-                analytic = rsp.w_law_for_pair(prof.params, x, xp)
-                dense = {w: pr for w, (pr, _res)
-                         in rsp.w_law_dense(prof.params, x, xp).items()}
-                point_tv = tv_distance(analytic, dense)
-                tv += p_y * point_tv
-                max_dev = max(max_dev, point_tv)
+        for pre in validated:
+            x, xp = sorted(pre, key=lambda z: z.c)
+            point_tv = tv_distance(rsp.w_law_for_pair(prof.params, x, xp),
+                                   rsp.w_law_dense(prof.params, x, xp))
+            tv += p_y * point_tv
+            max_dev = max(max_dev, point_tv)
         return DistributionReport(
             "backend-equivalence", "exact-enumeration", support,
             tv, 1e-12, tv <= 1e-12,
@@ -249,8 +247,7 @@ def _view_classes(kp: TrapdoorKeypair) -> list[dict]:
     p_y = 1.0 / len(census)
     acc: dict[tuple, dict] = {}
     # a class depends on the pair's hardcore bits only, not on their order
-    for x, xp in census.values():
-        hx, hxp = lattice.hardcore(x), lattice.hardcore(xp)
+    for hx, hxp in census.hardcore_bits():
         theta2, hh = hx ^ hxp, hx * hxp
         for parity in (0, 1):
             if theta2 == 0:

@@ -367,6 +367,14 @@ class ImageCensus(Mapping):
             out.append(Preimage(self._s_rows[s], self._e_rows[e], cd >> 1, cd & 1))
         return out
 
+    def hardcore_bits(self) -> list[tuple]:
+        """Each image point's preimage hardcore bits d, in iteration order,
+        each tuple in domain order: the bits of values() read off the
+        domain indices (d = index & 1), with no Preimage built."""
+        d = (self._order & 1).tolist()
+        starts = self._starts[self._seen].tolist()
+        return [tuple(d[s:s + c]) for s, c in zip(starts, self.counts.tolist())]
+
     def __getitem__(self, y) -> list[Preimage]:
         i = self._find(y)
         if i < 0:

@@ -72,36 +72,28 @@ def oqfe_bob_state(psi_in: StateVector, psi_a: StateVector) -> StateVector:
 
 
 def oqfe_bob_branches(psi_in: StateVector, psi_a: StateVector, delta: Angle8):
-    """All (m0, m1, s_bar, prob) branches of Bob's measurements, exactly."""
-    st = oqfe_bob_state(psi_in, psi_a)
+    """All (m0, m1, s_bar, prob) branches of Bob's measurements, exactly.
+    The output qubit is Z-measured raw: X^m1 flips that outcome and Z^m0
+    leaves it alone, so s_bar = z ^ m1."""
+    plan = [(0, Angle8(0)), (1, Angle8(delta)), (2, "Z")]
     out = []
-    for br in qsim.enumerate_branches(st, [(0, Angle8(0)), (1, Angle8(delta))]):
-        m0, m1 = br.outcomes
-        if br.impossible:
-            out.append((m0, m1, 0, 0.0))
-            out.append((m0, m1, 1, 0.0))
-            continue
-        post = br.residual
-        if m1:
-            post = qsim.apply_gate(post, "X", 0)
-        if m0:
-            post = qsim.apply_gate(post, "Z", 0)
-        for s_bar, (p, _) in enumerate(qsim.branch_z(post, 0)):
-            out.append((m0, m1, s_bar, br.probability * p))
-    return out
+    for br in qsim.enumerate_branches(oqfe_bob_state(psi_in, psi_a), plan):
+        m0, m1, z = br.outcomes
+        out.append((m0, m1, z ^ m1, br.probability))
+    return sorted(out)   # (m0, m1, s_bar) order
 
 
 def oqfe_bob_measure(psi_in: StateVector, psi_a: StateVector, delta: Angle8,
                      coins: CoinSource) -> tuple[int, int]:
     """Sampled run of Bob's circuit; returns (m0, s_bar); m1 stays local."""
     st = oqfe_bob_state(psi_in, psi_a)
-    m0, st = qsim.measure_in_plane(st, 0, Angle8(0), coins)
-    m1, st = qsim.measure_in_plane(st, 0, Angle8(delta), coins)
+    m0, st = qsim.measure(st, 0, Angle8(0), coins)
+    m1, st = qsim.measure(st, 0, Angle8(delta), coins)
     if m1:
         st = qsim.apply_gate(st, "X", 0)
     if m0:
         st = qsim.apply_gate(st, "Z", 0)
-    s_bar, _ = qsim.measure_z(st, 0, coins)
+    s_bar, _ = qsim.measure(st, 0, "Z", coins)
     return m0, s_bar
 
 
@@ -210,19 +202,16 @@ def _alice_publish_key(ep: Endpoint, params: LatticeParams,
 
 
 def oqfe_mal_alice(ep: Endpoint, b: int, params: LatticeParams,
-                   coins: CoinSource,
-                   authority: zk.ZkAuthority | None = None) -> OqfeAliceView:
-    auth = authority or zk.default_authority()
+                   coins: CoinSource, authority: zk.ZkAuthority) -> OqfeAliceView:
     r_f_a, com_f, dec_f, r_f_b = _alice_coin_toss(ep, coins)
     kp = lattice.gen_regular(params, coin_source(xor_bytes(r_f_a, r_f_b), "gen"))
-    _alice_publish_key(ep, params, auth, com_f, r_f_b, kp, (r_f_a, dec_f))
+    _alice_publish_key(ep, params, authority, com_f, r_f_b, kp, (r_f_a, dec_f))
     return _oqfe_alice_steps(ep, b, kp, coins)
 
 
 def oqfe_mal_bob(ep: Endpoint, psi_in: StateVector, params: LatticeParams,
-                 coins: CoinSource, backend=rsp.rsp_bob_quantum,
-                 authority: zk.ZkAuthority | None = None) -> OqfeBobView:
-    auth = authority or zk.default_authority()
+                 coins: CoinSource, backend,
+                 authority: zk.ZkAuthority) -> OqfeBobView:
     view = OqfeBobView()
     view.com_f = ep.expect("q2pc.commit").value()
     view.r_f_bob = coins.child("coinshare").take_bytes(32)
@@ -230,7 +219,8 @@ def oqfe_mal_bob(ep: Endpoint, psi_in: StateVector, params: LatticeParams,
     view.pk_bytes = ep.expect("rsp.key").value()
     token = ep.expect("zk.token").value()
     statement = (view.com_f, view.r_f_bob, view.pk_bytes)
-    session = zk.new_session(zk.rel_keygen(params), statement, "verifier", auth)
+    session = zk.new_session(zk.rel_keygen(params), statement, "verifier",
+                             authority)
     view.keygen_session = session
     if zk.verify(session, [token]) != "accept":
         raise ProtocolAbort("keygen-proof", None, "key generation proof rejected")
@@ -253,9 +243,7 @@ class Q2pcAliceResult:
 
 
 def q2pc_alice(ep: Endpoint, pattern: BrickworkPattern, params: LatticeParams,
-               coins: CoinSource,
-               authority: zk.ZkAuthority | None = None) -> Q2pcAliceResult:
-    auth = authority or zk.default_authority()
+               coins: CoinSource, authority: zk.ZkAuthority) -> Q2pcAliceResult:
     sites = _rsp_sites(pattern)
     com_phi, dec_phi = {}, {}
     shares, com_f, dec_f = {}, {}, {}
@@ -281,7 +269,7 @@ def q2pc_alice(ep: Endpoint, pattern: BrickworkPattern, params: LatticeParams,
         kps[s, run] = lattice.gen_regular(params, coin_source(seed, "gen"))
         statement = (com_f[s, run], bob_shares[idx], kps[s, run].public.to_bytes())
         tokens.append(zk.prove(
-            zk.new_session(rel_f, statement, "prover", auth),
+            zk.new_session(rel_f, statement, "prover", authority),
             (shares[s, run], dec_f[s, run]))[0])
     ep.send("rsp.key", [kps[s, run].public.to_bytes()
                         for s in sites for run in (0, 1)])
@@ -319,7 +307,7 @@ def q2pc_alice(ep: Endpoint, pattern: BrickworkPattern, params: LatticeParams,
         r = result.r_mask[s]
         delta = mbqc.compute_delta(phi_p, result.thetas[s], r)
         statement = (int(delta), sZ, sX, com_phi[s])
-        token = zk.prove(zk.new_session(rel_d, statement, "prover", auth),
+        token = zk.prove(zk.new_session(rel_d, statement, "prover", authority),
                          (int(phi), dec_phi[s], int(result.thetas[s]), r))[0]
         ep.send("zk.token", token)
         ep.send("q2pc.delta", (i, j, int(delta), sX, sZ))
@@ -338,9 +326,8 @@ class Q2pcBobResult:
 
 
 def q2pc_bob(ep: Endpoint, psi_in: StateVector, params: LatticeParams,
-             coins: CoinSource, backend=rsp.rsp_bob_quantum,
-             authority: zk.ZkAuthority | None = None) -> Q2pcBobResult:
-    auth = authority or zk.default_authority()
+             coins: CoinSource, backend,
+             authority: zk.ZkAuthority) -> Q2pcBobResult:
     skeleton, com_phi_list, com_f_list = ep.expect("q2pc.commit").value()
     n, m, bridges, input_rows = skeleton
     shape = BrickworkPattern(n, m, tuple(tuple(Angle8(0) for _ in range(m))
@@ -362,7 +349,7 @@ def q2pc_bob(ep: Endpoint, psi_in: StateVector, params: LatticeParams,
     rel_f = zk.rel_keygen(params)
     for idx, (s, run) in enumerate(((s, r) for s in sites for r in (0, 1))):
         statement = (com_f_list[idx], bob_shares[idx], pk_list[idx])
-        session = zk.new_session(rel_f, statement, "verifier", auth)
+        session = zk.new_session(rel_f, statement, "verifier", authority)
         if zk.verify(session, [tokens[idx]]) != "accept":
             raise ProtocolAbort("keygen-proof", s, "key generation proof rejected")
 
@@ -384,7 +371,7 @@ def q2pc_bob(ep: Endpoint, psi_in: StateVector, params: LatticeParams,
     mcoins = coins.child("measure")
     result = Q2pcBobResult()
     for i in range(n):
-        bit, state = qsim.measure_in_plane(state, 0, Angle8(0), mcoins)
+        bit, state = qsim.measure(state, 0, Angle8(0), mcoins)
         result.raw_outcomes[(i, 0)] = bit
         ep.send("q2pc.outcome", ("site", i, 0, bit))
 
@@ -395,11 +382,11 @@ def q2pc_bob(ep: Endpoint, psi_in: StateVector, params: LatticeParams,
         if (i, j) != s:
             raise ProtocolAbort("measurement", s, "delta out of order")
         statement = (delta, sZ, sX, com_phi[s])
-        session = zk.new_session(rel_d, statement, "verifier", auth)
+        session = zk.new_session(rel_d, statement, "verifier", authority)
         if zk.verify(session, [token]) != "accept":
             # abort-before-leak: the site is never measured
             raise ProtocolAbort("measurement", s, "blind-angle proof rejected")
-        bit, state = qsim.measure_in_plane(state, 0, Angle8(delta), mcoins)
+        bit, state = qsim.measure(state, 0, Angle8(delta), mcoins)
         result.raw_outcomes[s] = bit
         ep.send("q2pc.outcome", ("site", i, j, bit))
     return result

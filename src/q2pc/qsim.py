@@ -8,12 +8,13 @@ Conventions (used everywhere, never redeclared):
     array index, so qubit 0 varies fastest;
   * angles are Angle8 values, integers mod 8 in units of pi/4;
   * measured qubits are physically removed from the state;
-  * exact branch enumeration (split_branches, behind enumerate_branches
-    and the MBQC laws) holds every branch at once, unnormalized, as one
+  * one kernel, split_branches, performs every measurement, sampled or
+    exact.  It holds every branch at once, unnormalized, as one
     (branches, 2**live) array: each measurement doubles the rows and
     halves the row width, so an MBQC evaluation of the whole graph
     (n*m <= MAX_DENSE_QUBITS) holds at most 2**(n*m) amplitudes at every
-    step;
+    step.  measure samples one outcome from a single row;
+    enumerate_branches and the MBQC laws keep every row;
   * global phase is unobservable: state equality is max-overlap >= 1-eps.
 """
 
@@ -200,54 +201,6 @@ def apply_gate(state: StateVector, gate, targets) -> StateVector:
 
 # -------------------------------------------------------------- measurements
 
-def branch_z(state: StateVector, qubit: int) -> list[tuple[float, StateVector | None]]:
-    """Both Z-measurement branches [(p0, post0), (p1, post1)]; the post state
-    has the measured qubit removed. Zero-probability branches carry None."""
-    if not (0 <= qubit < state.num_qubits):
-        raise QsimError(f"qubit {qubit} out of range")
-    n = state.num_qubits
-    tens = state.amplitudes.reshape((2,) * n)
-    axis = n - 1 - qubit
-    out = []
-    for outcome in (0, 1):
-        sub = np.take(tens, outcome, axis=axis).reshape(-1)
-        p = float(np.sum(np.abs(sub) ** 2))
-        if p < _DEGENERATE_TOL:
-            out.append((0.0, None))
-        else:
-            out.append((p, StateVector(n - 1, np.ascontiguousarray(sub) / math.sqrt(p))))
-    total = out[0][0] + out[1][0]
-    if abs(total - 1.0) > _NORM_TOL:
-        raise QsimError("corrupted state: branch probabilities do not sum to 1")
-    return out
-
-
-def measure_z(state: StateVector, qubit: int, randomness: CoinSource) -> tuple[int, StateVector]:
-    branches = branch_z(state, qubit)
-    outcome = 1 if randomness.uniform() < branches[1][0] else 0
-    post = branches[outcome][1]
-    if post is None:
-        raise QsimError("degenerate branch selected")
-    return outcome, post
-
-
-def branch_in_plane(state: StateVector, qubit: int, angle: Angle8):
-    """(X,Y)-plane measurement branches at the given angle; outcome 0 is the
-    |+_angle> projector (rotate by Rz(-angle), then H, then Z-measure)."""
-    rotated = apply_gate(apply_gate(state, ("RZ", Angle8(-Angle8(angle))), qubit), "H", qubit)
-    return branch_z(rotated, qubit)
-
-
-def measure_in_plane(state: StateVector, qubit: int, angle: Angle8,
-                     randomness: CoinSource) -> tuple[int, StateVector]:
-    branches = branch_in_plane(state, qubit, angle)
-    outcome = 1 if randomness.uniform() < branches[1][0] else 0
-    post = branches[outcome][1]
-    if post is None:
-        raise QsimError("degenerate branch selected")
-    return outcome, post
-
-
 @dataclass(frozen=True)
 class Branch:
     outcomes: tuple
@@ -286,6 +239,26 @@ def split_branches(amps: np.ndarray, history: np.ndarray, qubit: int,
     keep = weights >= _DEGENERATE_TOL * np.repeat(parent, 2)
     history = (np.repeat(history, 2) << 1) | np.tile((0, 1), rows)
     return children[keep], history[keep]
+
+
+def measure(state: StateVector, qubit: int, basis,
+            coins: CoinSource) -> tuple[int, StateVector]:
+    """Sampled measurement of `qubit` in basis 'Z' or in-plane at an Angle8
+    (outcome 0 on |+_angle>): split_branches on the one row, outcome 1 iff
+    coins.uniform() < P(1).  Returns (outcome, post state), the measured
+    qubit removed and the post state normalized."""
+    if not (0 <= qubit < state.num_qubits):
+        raise QsimError(f"qubit {qubit} out of range")
+    amps, outcomes = split_branches(state.amplitudes.reshape(1, -1),
+                                    np.zeros(1, dtype=np.int64), qubit, basis)
+    probs = (amps.real ** 2 + amps.imag ** 2).sum(axis=1)
+    p1 = float(probs[-1]) if outcomes[-1] == 1 else 0.0
+    outcome = 1 if coins.uniform() < p1 else 0
+    kept = np.flatnonzero(outcomes == outcome)
+    if kept.size == 0:
+        raise QsimError("degenerate branch selected")
+    k = kept[0]
+    return outcome, StateVector(state.num_qubits - 1, amps[k] / math.sqrt(probs[k]))
 
 
 def enumerate_branches(state: StateVector, plan) -> list[Branch]:

@@ -155,7 +155,7 @@ def rsp_bob_quantum(pk: PublicKey, coins: CoinSource,
     w = []
     for _ in range(W):
         # measured qubit is removed, so the register front stays at index 0
-        bit, state = qsim.measure_in_plane(state, 0, Angle8(0), coins)
+        bit, state = qsim.measure(state, 0, Angle8(0), coins)
         w.append(bit)
     if not raw:
         state = _finish_rotation(state)
@@ -217,18 +217,22 @@ def w_law_for_pair(params: LatticeParams, x: Preimage, xp: Preimage) -> dict:
 
 def w_law_dense(params: LatticeParams, x: Preimage, xp: Preimage) -> dict:
     """Oracle for w_law_for_pair: dense branch enumeration of the +/- basis
-    measurements on the two-term state, {w_int: (prob, residual)}."""
+    measurements on the two-term state, {w_int: prob}."""
     W = params.preimage_bits
     two = TwoTermState(W + 1,
                        lattice.encode(params, x) | (lattice.hardcore(x) << W),
                        lattice.encode(params, xp) | (lattice.hardcore(xp) << W),
                        1.0)
-    plan = [(i, Angle8(0)) for i in range(W)]
-    out = {}
-    for br in qsim.enumerate_branches(qsim.two_term_to_dense(two), plan):
-        if not br.impossible:
-            out[w_int_of(br.outcomes)] = (br.probability, br.residual)
-    return out
+    amps = qsim.two_term_to_dense(two).amplitudes.reshape(1, -1)
+    history = np.zeros(1, dtype=np.int64)
+    for _ in range(W):
+        # measured qubit is removed, so the register front stays at index 0
+        amps, history = qsim.split_branches(amps, history, 0, Angle8(0))
+    probs = (amps.real ** 2 + amps.imag ** 2).sum(axis=1)
+    # a history holds w_0 as its most significant bit, w_int as its least
+    # significant: reverse the W bits
+    w_ints = ((history[:, None] >> np.arange(W - 1, -1, -1)) & 1) @ (1 << np.arange(W))
+    return dict(zip(w_ints.tolist(), probs.tolist()))
 
 
 def transcript_law(pk: PublicKey) -> dict:
@@ -265,7 +269,7 @@ def bob_merge(q_full: StateVector, q_raw: StateVector,
     st = qsim.tensor(q_full, q_raw)
     st = qsim.apply_gate(st, ("RZ", u), 0)
     st = qsim.apply_gate(st, "CZ", (0, 1))
-    t, st = qsim.measure_in_plane(st, 1, Angle8(2), coins)
+    t, st = qsim.measure(st, 1, Angle8(2), coins)
     return st, u, t
 
 

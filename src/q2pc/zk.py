@@ -13,13 +13,15 @@ escrowed witness -- the extractor's power against a convincing prover,
 exact here because the backend is ideal.
 
 The escrow lives in one process, so protocols that exercise extraction run
-on the in-process transport.  The interface passes message sequences, not
+on the in-process transport.  There is no global escrow: every session and
+simulation names its ZkAuthority, and a run creates its own, so witnesses
+of one run never meet those of another.  The interface passes message sequences, not
 single values, so a concrete argument system can be dropped in later.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from . import lattice, mbqc
@@ -54,13 +56,6 @@ class ZkAuthority:
         return self._escrow.get(token)
 
 
-_DEFAULT_AUTHORITY = ZkAuthority()
-
-
-def default_authority() -> ZkAuthority:
-    return _DEFAULT_AUTHORITY
-
-
 def proof_token(relation: Relation, statement) -> bytes:
     name = relation.name.encode("utf-8")
     return sha256(b"zk-token\x00" + len(name).to_bytes(2, "little") + name
@@ -72,16 +67,15 @@ class ZkSession:
     relation: Relation
     statement: object
     role: str                     # "prover" | "verifier"
-    authority: ZkAuthority = field(default_factory=default_authority)
+    authority: ZkAuthority
     verdict: str = "pending"
 
 
 def new_session(relation: Relation, statement, role: str,
-                authority: ZkAuthority | None = None) -> ZkSession:
+                authority: ZkAuthority) -> ZkSession:
     if role not in ("prover", "verifier"):
         raise ZkError(f"unknown role {role!r}")
-    return ZkSession(relation, statement, role,
-                     authority or default_authority())
+    return ZkSession(relation, statement, role, authority)
 
 
 def prove(session: ZkSession, witness) -> list[bytes]:
@@ -95,10 +89,10 @@ def prove(session: ZkSession, witness) -> list[bytes]:
 
 
 def simulate(relation: Relation, statement,
-             authority: ZkAuthority | None = None) -> list[bytes]:
+             authority: ZkAuthority) -> list[bytes]:
     """Witness-free proof; byte-identical token to an honest prover's."""
     token = proof_token(relation, statement)
-    (authority or default_authority()).deposit(token, _SIMULATED)
+    authority.deposit(token, _SIMULATED)
     return [token]
 
 
@@ -138,11 +132,10 @@ def extract(session: ZkSession):
 
 
 def run_proof(relation: Relation, statement, witness,
-              authority: ZkAuthority | None = None) -> tuple[ZkSession, str]:
+              authority: ZkAuthority) -> tuple[ZkSession, str]:
     """Both roles in sequence; returns the verifier session and its verdict."""
-    auth = authority or default_authority()
-    msgs = prove(new_session(relation, statement, "prover", auth), witness)
-    ver = new_session(relation, statement, "verifier", auth)
+    msgs = prove(new_session(relation, statement, "prover", authority), witness)
+    ver = new_session(relation, statement, "verifier", authority)
     return ver, verify(ver, msgs)
 
 

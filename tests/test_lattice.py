@@ -225,6 +225,7 @@ def test_image_table_matches_the_loop_census(seed):
     assert list(table.items()) == list(oracle.items())
     assert list(table.values()) == list(oracle.values())
     assert list(table) == list(oracle) and len(table) == len(oracle)
+    assert table.hardcore_bits() == [tuple(z.d for z in pres) for pres in oracle.values()]
     for y in list(oracle)[:20]:
         assert y in table and table[y] == oracle[y]
     for miss in ((TINY.q,) + (0,) * (TINY.m - 1), (0,) * (TINY.m + 1)):
@@ -244,6 +245,19 @@ def test_image_table_matches_the_loop_census(seed):
         else:
             with pytest.raises(lat.TwoRegularityError):
                 lat.invert(kp, np.array(y))
+
+
+def test_hardcore_bits_are_the_preimages_d_bits_on_keys_of_both_d0():
+    d0s = set()
+    for seed in (bytes([4]) * 32, bytes([9]) * 32):
+        kp = lat.gen_regular(TINY, pr.coin_source(seed, "gen"))
+        census = lat.image_census(kp.public)
+        want = [tuple(z.d for z in pres) for _y, pres in census.items()]
+        assert census.hardcore_bits() == want
+        # every pair's bits differ by d0 (the hidden shift flips d)
+        assert {hx ^ hxp for hx, hxp in want} == {kp.d0}
+        d0s.add(kp.d0)
+    assert d0s == {0, 1}
 
 
 # SHA-256 of the public key gen_regular accepts from these coins; the keys

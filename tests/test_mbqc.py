@@ -160,14 +160,14 @@ def test_flow_determinism_per_branch():
     pat = mbqc.identity_pattern()
     st = qsim.basis_state(1, 1)
     full = mbqc.entangled_graph_state(pat, st)
-    for outcome, (p, post) in enumerate(qsim.branch_in_plane(full, 0, Angle8(0))):
-        assert post is not None and abs(p - 0.5) < 1e-9
+    for first in qsim.enumerate_branches(full, [(0, Angle8(0))]):
+        assert not first.impossible and abs(first.probability - 0.5) < 1e-9
         board = OutcomeBoard()
-        board.record((0, 0), outcome)
+        board.record((0, 0), first.outcomes[0])
         sX, sZ = accumulate_dependencies(board, pat, (0, 1))
         ang = compute_phi_prime(Angle8(0), sX, sZ)
-        br = qsim.branch_in_plane(post, 0, ang)
-        assert abs(br[1][0] - 1.0) < 1e-9  # corrected outcome always 1
+        _zero, one = qsim.enumerate_branches(first.residual, [(0, ang)])
+        assert abs(one.probability - 1.0) < 1e-9  # corrected outcome always 1
 
 
 def test_budget_exceeded():

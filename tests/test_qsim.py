@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 from q2pc import primitives as pr
 from q2pc import qsim
 from q2pc.qsim import (Angle8, StateVector, TwoTermState, apply_gate, basis_state,
-                       branch_in_plane, enumerate_branches, make_state,
-                       measure_in_plane, measure_z, plus_state, tensor,
-                       two_term_to_dense)
+                       enumerate_branches, make_state, measure, plus_state,
+                       tensor, two_term_to_dense)
 
 SEED = b"\x02" * 32
 
@@ -66,42 +65,43 @@ def test_gate_errors():
 
 
 def test_measure_basis_state():
-    out, post = measure_z(basis_state(1, 1), 0, coins())
+    out, post = measure(basis_state(1, 1), 0, "Z", coins())
     assert out == 1 and post.num_qubits == 0
 
 
 def test_measure_product_state():
     st_ = tensor(plus_state(), basis_state(1, 0))  # qubit 0: |+>, qubit 1: |0>
-    out, post = measure_z(st_, 0, coins())
+    out, post = measure(st_, 0, "Z", coins())
     assert out in (0, 1)
     assert np.allclose(np.abs(post.amplitudes) ** 2, [1, 0])
 
 
+def branch_probabilities(state, qubit, basis):
+    return [b.probability for b in enumerate_branches(state, [(qubit, basis)])]
+
+
 def test_measure_iplus_half_half():
-    br = qsim.branch_z(plus_state(Angle8(2)), 0)
-    assert abs(br[0][0] - 0.5) < 1e-12 and abs(br[1][0] - 0.5) < 1e-12
+    p0, p1 = branch_probabilities(plus_state(Angle8(2)), 0, "Z")
+    assert abs(p0 - 0.5) < 1e-12 and abs(p1 - 0.5) < 1e-12
 
 
 def test_in_plane_eigenstate():
     for a in range(8):
-        br = branch_in_plane(plus_state(Angle8(a)), 0, Angle8(a))
-        assert br[0][0] > 1 - 1e-9
-        br = branch_in_plane(plus_state(Angle8(a)), 0, Angle8(a + 4))
-        assert br[1][0] > 1 - 1e-9
+        assert branch_probabilities(plus_state(Angle8(a)), 0, Angle8(a))[0] > 1 - 1e-9
+        assert branch_probabilities(plus_state(Angle8(a)), 0, Angle8(a + 4))[1] > 1 - 1e-9
 
 
 def test_in_plane_orthogonal_angle():
-    br = branch_in_plane(plus_state(Angle8(2)), 0, Angle8(0))
-    assert abs(br[0][0] - 0.5) < 1e-12
+    p0, _p1 = branch_probabilities(plus_state(Angle8(2)), 0, Angle8(0))
+    assert abs(p0 - 0.5) < 1e-12
 
 
 def test_in_plane_matches_rotate_then_measure():
     st_ = make_state(1, [0.6, 0.8j])
     for a in range(8):
-        br = branch_in_plane(st_, 0, Angle8(a))
         rotated = apply_gate(apply_gate(st_, ("RZ", Angle8(-a)), 0), "H", 0)
-        br2 = qsim.branch_z(rotated, 0)
-        assert abs(br[0][0] - br2[0][0]) < 1e-12
+        p0, _p1 = branch_probabilities(st_, 0, Angle8(a))
+        assert abs(p0 - float(abs(rotated.amplitudes[0]) ** 2)) < 1e-12
 
 
 def test_enumerate_single_qubit():
@@ -138,10 +138,7 @@ def test_enumerate_matches_sampling():
         for q, basis in plan:
             idx = live.index(q)
             live.pop(idx)
-            if basis == "Z":
-                o, cur = measure_z(cur, idx, src)
-            else:
-                o, cur = measure_in_plane(cur, idx, basis, src)
+            o, cur = measure(cur, idx, basis, src)
             outs.append(o)
         t = tuple(outs)
         freq[t] = freq.get(t, 0) + 1
@@ -166,9 +163,26 @@ def branch_cases(draw):
     return make_state(n, amps), [(q, draw(bases)) for q in qubits]
 
 
+def oracle_branches(state, qubit, basis):
+    """Both outcomes of one measurement, [(probability, post state or
+    None)], shared with no qsim measurement code: rotate an in-plane basis
+    onto Z by Rz(-angle) then H, and slice the amplitudes whose index has
+    the qubit's bit equal to the outcome."""
+    if basis != "Z":
+        state = apply_gate(apply_gate(state, ("RZ", -basis), qubit), "H", qubit)
+    bit = (np.arange(1 << state.num_qubits) >> qubit) & 1
+    out = []
+    for outcome in (0, 1):
+        sub = state.amplitudes[bit == outcome]
+        p = float(np.sum(np.abs(sub) ** 2))
+        out.append((p, StateVector(state.num_qubits - 1, sub / math.sqrt(p)))
+                   if p >= 1e-12 else (0.0, None))
+    return out
+
+
 def branch_by_branch(state, plan):
-    """Oracle: each branch walked on its own with branch_z/branch_in_plane,
-    one plan step at a time; (outcomes, probability, post state or None)."""
+    """Oracle: each branch walked on its own with oracle_branches, one plan
+    step at a time; (outcomes, probability, post state or None)."""
     level = [((), 1.0, state, list(range(state.num_qubits)))]
     for q, basis in plan:
         nxt = []
@@ -178,10 +192,8 @@ def branch_by_branch(state, plan):
                 continue
             cur = live.index(q)
             rest = live[:cur] + live[cur + 1:]
-            pairs = (qsim.branch_z(st_, cur) if basis == "Z"
-                     else branch_in_plane(st_, cur, basis))
             nxt += [(outs + (o,), prob * p, post, rest)
-                    for o, (p, post) in enumerate(pairs)]
+                    for o, (p, post) in enumerate(oracle_branches(st_, cur, basis))]
         level = nxt
     return [(outs, prob, st_) for outs, prob, st_, _live in level]
 
@@ -198,6 +210,47 @@ def test_enumerate_branches_matches_branch_by_branch_oracle(case):
         assert b.impossible == (post is None)
         if post is not None:
             assert qsim.overlap(b.residual, post) >= 1 - 1e-12
+
+
+class FixedUniform:
+    """Coins whose every uniform() draw is one forced value."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def uniform(self):
+        return self.value
+
+
+@settings(max_examples=150, deadline=None)
+@given(branch_cases(), st.binary(min_size=32, max_size=32))
+def test_measure_matches_the_oracle_step_by_step(case, seed):
+    """Walk the plan with sampled measurements: each outcome is 1 iff the
+    replayed uniform() is below the oracle's P(1), each post state is the
+    oracle's, and forcing the impossible outcome of a step raises."""
+    state, plan = case
+    live = list(range(state.num_qubits))
+    src, replay = pr.coin_source(seed, "m"), pr.coin_source(seed, "m")
+    for q, basis in plan:
+        cur = live.index(q)
+        del live[cur]
+        want = oracle_branches(state, cur, basis)
+        for outcome, forced in ((0, 2.0), (1, -1.0)):
+            if want[outcome][1] is None:
+                with pytest.raises(qsim.QsimError):
+                    measure(state, cur, basis, FixedUniform(forced))
+        outcome, post = measure(state, cur, basis, src)
+        assert outcome == int(replay.uniform() < want[1][0])
+        assert qsim.overlap(post, want[outcome][1]) >= 1 - 1e-12
+        state = post
+
+
+def test_measure_rejects_unknown_qubits_and_bases():
+    for qubit in (-1, 1):
+        with pytest.raises(qsim.QsimError):
+            measure(plus_state(), qubit, "Z", coins())
+    with pytest.raises(qsim.QsimError):
+        measure(plus_state(), 0, "Y", coins())
 
 
 def test_enumerate_branches_rejects_unknown_qubits_and_bases():

@@ -92,7 +92,7 @@ def test_w_law_formula_matches_dense_enumeration():
         dense = rsp.w_law_dense(TINY, x, xp)
         assert set(law) == set(dense)
         for w, p in law.items():
-            assert abs(p - dense[w][0]) < 1e-12
+            assert abs(p - dense[w]) < 1e-12
         checked += 1
         if checked == 2:
             break
@@ -195,8 +195,8 @@ def test_merge_branch_enumeration_exact():
             st = qsim.tensor(run1.state, run2.state)
             st = qsim.apply_gate(st, ("RZ", Angle8(u)), 0)
             st = qsim.apply_gate(st, "CZ", (0, 1))
-            for t, (p, post) in enumerate(qsim.branch_in_plane(st, 1, Angle8(2))):
-                if post is None:
+            for br in qsim.enumerate_branches(st, [(1, Angle8(2))]):
+                if br.impossible:
                     continue
-                theta = rsp.alice_merge_theta(first, second, Angle8(u), t)
-                assert qsim.overlap(post, qsim.plus_state(theta)) >= 1 - 1e-9
+                theta = rsp.alice_merge_theta(first, second, Angle8(u), br.outcomes[0])
+                assert qsim.overlap(br.residual, qsim.plus_state(theta)) >= 1 - 1e-9

@@ -149,3 +149,17 @@ def test_predicate_exception_treated_as_reject():
     rel = zk.Relation("boom", lambda s, w: 1 / 0)
     _, verdict = zk.run_proof(rel, 1, 2, fresh_auth())
     assert verdict == "reject"
+
+
+def test_sessions_and_simulations_need_an_explicit_authority():
+    # no process-wide escrow to fall back on: a forgotten authority fails
+    # at the call instead of mixing witnesses across runs
+    rel = zk.Relation("truthy", lambda s, w: True, decide=lambda s: True)
+    with pytest.raises(TypeError):
+        zk.new_session(rel, 7, "prover")
+    with pytest.raises(TypeError):
+        zk.ZkSession(rel, 7, "verifier")
+    with pytest.raises(TypeError):
+        zk.simulate(rel, 7)
+    with pytest.raises(TypeError):
+        zk.run_proof(rel, 7, None)
