@@ -73,10 +73,10 @@ def load_pattern(spec: str) -> mbqc.BrickworkPattern:
     if name not in mbqc.PATTERN_LIBRARY:
         raise UsageError(f"unknown pattern {name!r}; library: "
                          f"{', '.join(sorted(mbqc.PATTERN_LIBRARY))}")
-    args = [Angle8(int(a)) for a in argtext.split(",") if a != ""]
     try:
+        args = [Angle8(int(a)) for a in argtext.split(",") if a != ""]
         return mbqc.PATTERN_LIBRARY[name](*args)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise UsageError(f"bad arguments for pattern {name!r}: {exc}") from exc
 
 
@@ -181,7 +181,8 @@ def cmd_experiment(args) -> int:
             variant=args.variant)
     elif name == "extractor":
         report = harness.extractor_experiment(
-            trials=args.trials or 100, seed=seed, profile=args.profile)
+            trials=100 if args.trials is None else args.trials, seed=seed,
+            profile=args.profile)
     elif name == "oqfe-correctness":
         report = harness.oqfe_correctness_report(named_state(args.input),
                                                  args.b)

@@ -29,8 +29,7 @@ import numpy as np
 
 from . import lattice, mbqc, protocols, qsim, rsp, zk
 from .lattice import LatticeParams, TrapdoorKeypair
-from .primitives import (CoinSource, coin_source, commit, verify_commitment,
-                         xor_bytes)
+from .primitives import CoinSource, coin_source, commit, verify_commitment
 from .profiles import Profile, get_profile
 from .qsim import Angle8, StateVector
 
@@ -63,6 +62,24 @@ class DistributionReport:
             "threshold": self.threshold, "passed": self.passed,
             "details": self.details, "notes": self.notes,
         }
+
+
+def _require_trials(trials: int) -> None:
+    if trials < 1:
+        raise HarnessError(f"trials must be at least 1, got {trials}")
+
+
+def sampled_threshold(trials: int) -> float:
+    """TV threshold of a sampled check over trials draws per side,
+    max(0.03, 2.5/sqrt(trials)).  Refuses trial counts where the check
+    cannot run, or cannot fail: no TV exceeds 1, so trials <= 6 would
+    pass whatever was sampled."""
+    _require_trials(trials)
+    threshold = max(0.03, 2.5 / trials ** 0.5)
+    if threshold >= 1.0:
+        raise HarnessError(f"{trials} trials give threshold {threshold:.3f}, "
+                           "which no TV exceeds")
+    return threshold
 
 
 # --------------------------------------------------------- OQFE exact laws
@@ -119,6 +136,7 @@ def delta_uniformity_experiment(trials: int | None = None,
                                 force_r0: bool = False) -> DistributionReport:
     """TV between the delta laws for b=0 and b=1 over uniform (theta2, r_A);
     exact when trials is None."""
+    threshold = 0.0 if trials is None else sampled_threshold(trials)
     if trials is None:
         law0, law1 = delta_law_exact(0, force_r0), delta_law_exact(1, force_r0)
         tv = tv_distance(law0, law1)
@@ -137,7 +155,6 @@ def delta_uniformity_experiment(trials: int | None = None,
         tv = tv_distance(*laws)
         method = f"sampling({trials})"
         details = {"law_b0": laws[0], "law_b1": laws[1]}
-    threshold = 0.0 if trials is None else max(0.03, 2.5 / trials ** 0.5)
     return DistributionReport(
         "delta-uniformity", method, 4, tv, threshold, tv <= threshold, details,
         "testable core of blindness: the delta marginal is independent of b; "
@@ -190,6 +207,7 @@ def backend_equivalence_experiment(profile: str | Profile = "tiny",
              "max_point_tv": max_dev},
             "per-image-point decomposition; w formula checked against dense "
             "branch enumeration on sampled points")
+    threshold = sampled_threshold(trials)
     # the raw y support is too large for an empirical TV at small trial
     # counts, so the image point is coarsened into 8 hash bins
     bins = 8
@@ -207,7 +225,6 @@ def backend_equivalence_experiment(profile: str | Profile = "tiny",
             counts[idx][key] = counts[idx].get(key, 0) + 1
     laws = [{k: v / trials for k, v in c.items()} for c in counts]
     tv = tv_distance(*laws)
-    threshold = max(0.03, 2.5 / trials ** 0.5)
     return DistributionReport(
         "backend-equivalence", f"sampling({trials})", bins, tv, threshold,
         tv <= threshold, {"marginal": "y-hash-bins", "bins": bins},
@@ -245,28 +262,25 @@ def _view_classes(kp: TrapdoorKeypair) -> list[dict]:
         raise HarnessError("view-law lumping assumes a fully 2-regular key")
     W = kp.params.preimage_bits
     p_y = 1.0 / len(census)
-    acc: dict[tuple, dict] = {}
-    # a class depends on the pair's hardcore bits only, not on their order
-    for hx, hxp in census.hardcore_bits():
-        theta2, hh = hx ^ hxp, hx * hxp
+    # a class depends on the pair's hardcore bits only, not on their order:
+    # count the points of each (hx ^ hx', hx * hx') kind, in first-seen order
+    bits = np.array(census.hardcore_bits())
+    kinds = 2 * (bits[:, 0] ^ bits[:, 1]) + bits[:, 0] * bits[:, 1]
+    _, first, counts = np.unique(kinds, return_index=True, return_counts=True)
+    classes = []
+    for at, count in sorted(zip(first.tolist(), counts.tolist())):
+        theta2, hh = divmod(int(kinds[at]), 2)
         for parity in (0, 1):
             if theta2 == 0:
                 # w uniform over the even half-space of size 2^(W-1)
-                p_real = p_y if parity == 0 else 0.0
-                n_pairs = 1 << (W - 1)
+                p_real = count * p_y if parity == 0 else 0.0
             else:
-                p_real = p_y / 2
-                n_pairs = 1 << (W - 1)
-            p_literal = p_y / 2      # w uniform over all of 2^W
-            key = (theta2, parity, hh)
-            cl = acc.setdefault(key, {"theta2": theta2,
-                                      "theta1": (theta2 * parity) ^ hh,
-                                      "p_real": 0.0, "p_literal": 0.0,
-                                      "n_pairs": 0})
-            cl["p_real"] += p_real
-            cl["p_literal"] += p_literal
-            cl["n_pairs"] += n_pairs
-    return list(acc.values())
+                p_real = count * p_y / 2
+            classes.append({"theta2": theta2, "theta1": (theta2 * parity) ^ hh,
+                            "p_real": p_real,
+                            "p_literal": count * p_y / 2,   # w uniform over 2^W
+                            "n_pairs": count << (W - 1)})
+    return classes
 
 
 def real_view_law(kp: TrapdoorKeypair, psi_in: StateVector, b: int) -> dict:
@@ -395,7 +409,9 @@ def q2pc_blinded_law_exact(pattern: mbqc.BrickworkPattern,
     measurement at delta, outcome unmasking.  Equals the plain pattern law
     for every (thetas, r_mask) assignment; enumerating it for the
     assignment an actual protocol run used ties the protocol to the
-    circuit-model oracle branch by branch."""
+    circuit-model oracle branch by branch.  The walk takes each delta
+    from mbqc.flow_bits and mbqc.blind_delta, as Alice does, so the
+    oracle checks the angles she sends."""
     blinded = pattern.sites()[pattern.n:]
     for name, table in (("thetas", thetas), ("r_mask", r_mask)):
         missing = [site for site in blinded if site not in table]
@@ -441,8 +457,7 @@ def extract_malicious_alice(bob_view: protocols.OqfeBobView,
     r_f_a, dec_f = zk.extract(session)
     if not verify_commitment(bob_view.com_f, dec_f, r_f_a):
         raise HarnessError("flagged cheat: commitment does not open")
-    kp = lattice.gen_regular(params,
-                             coin_source(xor_bytes(r_f_a, bob_view.r_f_bob), "gen"))
+    kp = lattice.gen_from_shares(params, r_f_a, bob_view.r_f_bob)
     if kp.public.to_bytes() != bob_view.pk_bytes:
         raise HarnessError("flagged cheat: key not derived from the coins")
     theta2 = kp.hp
@@ -453,6 +468,7 @@ def extractor_experiment(trials: int = 100, seed: bytes = b"\x00" * 32,
                          profile: str = "tiny",
                          biased_mask: int | None = None) -> DistributionReport:
     """Honest (optionally mask-biased) Alices against the extractor."""
+    _require_trials(trials)
     params = get_profile(profile).params
     correct = 0
     base = coin_source(seed, "extractor")
@@ -518,7 +534,7 @@ def cheating_alice_wrong_commitment(ep, b, params, coins, auth):
     """Proves over a commitment that does not open to her coin share."""
     r_f_a, com_f, _dec, r_f_b = protocols._alice_coin_toss(ep, coins)
     _, wrong_dec = commit(r_f_a, coins.child("other"))
-    kp = lattice.gen_regular(params, coin_source(xor_bytes(r_f_a, r_f_b), "gen"))
+    kp = lattice.gen_from_shares(params, r_f_a, r_f_b)
     protocols._alice_publish_key(ep, params, auth, com_f, r_f_b, kp,
                                  (r_f_a, wrong_dec))
     ep.expect("rsp.meas")

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .primitives import CoinSource
+from .primitives import CoinSource, coin_source, xor_bytes
 
 # the largest domain an ImageCensus enumerates
 _MAX_DOMAIN = 1 << 20
@@ -196,6 +196,14 @@ def gen_regular(params: LatticeParams, randomness: CoinSource,
         if is_two_regular(kp.public):
             return kp
     raise LatticeError("no 2-regular key within the retry budget")
+
+
+def gen_from_shares(params: LatticeParams, share_a: bytes,
+                    share_b: bytes) -> TrapdoorKeypair:
+    """The coin-tossed key: gen_regular on the XOR of the two parties' coin
+    shares.  Alice derives her key this way; the key-generation relation
+    and the extractor re-derive it from her escrowed share."""
+    return gen_regular(params, coin_source(xor_bytes(share_a, share_b), "gen"))
 
 
 def eval_f(key: PublicKey | TrapdoorKeypair, z: Preimage) -> np.ndarray:

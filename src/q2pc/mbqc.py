@@ -2,11 +2,10 @@
 dependencies, blind-angle arithmetic, the graph-state builder, and the
 exact adaptive walk behind both the plain reference law and the blinded
 law (harness.q2pc_blinded_law_exact).  The walk holds every measurement
-branch at once, one row per outcome history (qsim.split_branches), and
-takes each site's adaptive angle from the history bits by numpy XOR, so
-an n x m pattern costs n*m vectorized steps over at most 2^(n*m)
-amplitudes each.  circuit_model_law, the independent oracle, does not use
-it: it reads its Z law straight off the circuit state's amplitudes.
+branch at once, one row per outcome history (qsim.split_branches), so an
+n x m pattern costs n*m vectorized steps over at most 2^(n*m) amplitudes
+each.  circuit_model_law, the independent oracle, does not use it: it
+reads its Z law straight off the circuit state's amplitudes.
 
 A pattern is an n x m grid measured column-major, every site in the (X,Y)
 plane.  Column 0 is the input column (the input state itself, measured at
@@ -25,13 +24,17 @@ The bridge term is the X-correction of the previous column pushed through
 the vertical CZ.  Blind-angle arithmetic, in Angle8 units of pi/4:
     phi' = (-1)^sX * phi + 4*sZ
     delta = phi' + theta + 4*r
+flow_bits and blind_delta are the one coding of this flow.  They read the
+corrected outcomes as one history integer (the latest site in the lowest
+bit) or as one such integer per branch row, so Alice's protocol loop, the
+ZK blind-angle relation and the exact walk share them.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -100,43 +103,38 @@ class BrickworkPattern:
                 deps.append((ip, j - 1))
         return tuple(deps)
 
-    def output_sites(self) -> tuple:
-        return tuple((i, self.m - 1) for i in range(self.n))
+
+def blind_delta(phi, sX, sZ, theta=0, r=0):
+    """The blind angle delta = (-1)^sX * phi + 4*sZ + theta + 4*r in Angle8
+    units; theta = r = 0 gives the corrected angle phi'.  An Angle8 for int
+    bits; an int array mod 8 for bit arrays with one entry per branch row."""
+    phi = int(phi)
+    delta = (phi + int(theta) + 4 * (r & 1)
+             - 2 * phi * (sX & 1) + 4 * (sZ & 1))
+    return delta & 7 if isinstance(delta, np.ndarray) else Angle8(delta)
 
 
-@dataclass
-class OutcomeBoard:
-    raw: dict = field(default_factory=dict)     # site -> s'
-    s_bar: dict = field(default_factory=dict)   # site -> corrected outcome
+def flow_bits(pattern: BrickworkPattern, k: int, s_bar):
+    """(sX, sZ) of the k-th site in measurement order, read off the
+    corrected outcomes s_bar of the sites before it: site l sits at bit
+    k-1-l (column-major site (i, j) is site l = j*n + i, and every
+    dependency precedes its site).  s_bar is an int for one run or an int
+    array with one entry per branch row; the bits come back alike."""
+    n = pattern.n
+    site = (k % n, k // n)
 
-    def record(self, site, raw_bit: int, r: int = 0):
-        if site in self.raw:
-            raise MbqcError(f"site {site} measured twice")
-        self.raw[site] = raw_bit
-        self.s_bar[site] = raw_bit ^ r
-
-
-def compute_phi_prime(phi: Angle8, sX: int, sZ: int) -> Angle8:
-    base = -Angle8(phi) if sX else Angle8(phi)
-    return base + Angle8(4 * (sZ & 1))
-
-
-def compute_delta(phi_prime: Angle8, theta: Angle8, r: int) -> Angle8:
-    return Angle8(phi_prime) + Angle8(theta) + Angle8(4 * (r & 1))
+    def parity(deps):
+        bits = s_bar & 0   # 0, or a fresh zero array shaped like s_bar
+        for (i, j) in deps:
+            bits ^= s_bar >> (k - 1 - (j * n + i))
+        return bits & 1
+    return parity(pattern.x_dep(site)), parity(pattern.z_dep(site))
 
 
-def accumulate_dependencies(board: OutcomeBoard, pattern: BrickworkPattern,
-                            site) -> tuple[int, int]:
-    sX = sZ = 0
-    for dep in pattern.x_dep(site):
-        if dep not in board.s_bar:
-            raise MbqcError(f"dependency {dep} of {site} not yet measured")
-        sX ^= board.s_bar[dep]
-    for dep in pattern.z_dep(site):
-        if dep not in board.s_bar:
-            raise MbqcError(f"dependency {dep} of {site} not yet measured")
-        sZ ^= board.s_bar[dep]
-    return sX, sZ
+def output_bits(n: int, s_bar: int) -> tuple:
+    """Output row bits (row 0..n-1) of a finished history: the output
+    column is measured last, so row i is bit n-1-i of s_bar."""
+    return tuple((s_bar >> (n - 1 - i)) & 1 for i in range(n))
 
 
 def _check_graph(pattern: BrickworkPattern, input_width: int) -> None:
@@ -177,38 +175,26 @@ def _branch_law(pattern: BrickworkPattern, state: StateVector,
 
     All branches are walked at once, site by site (qsim.split_branches):
     row k holds the branch whose raw outcomes are the bits of history[k],
-    so a site's corrected dependency bits, and with them its phi' and
-    delta, are one numpy XOR per dependency over the rows.  Column-major
-    order makes the pending site live qubit 0 of every row."""
-    sites = pattern.sites()
-    index = {site: k for k, site in enumerate(sites)}
+    so each row's corrected outcomes are history ^ r_bits, and flow_bits
+    and blind_delta give every row's delta at once.  Column-major order
+    makes the pending site live qubit 0 of every row."""
     amps = state.amplitudes.reshape(1, -1)
     history = np.zeros(1, dtype=np.int64)
     r_bits = 0   # r of each measured site, laid out as in history
-    for k, site in enumerate(sites):
-        s_bar = history ^ r_bits   # site d's corrected outcome: bit k-1-index[d]
-        sX = sZ = 0
-        for dep in pattern.x_dep(site):
-            sX = sX ^ (s_bar >> (k - 1 - index[dep]))
-        for dep in pattern.z_dep(site):
-            sZ = sZ ^ (s_bar >> (k - 1 - index[dep]))
-        phi = int(pattern.phi[site[0]][site[1]])
-        angle = np.where(sX & 1, -phi, phi) + 4 * (sZ & 1)
-        r = 0
-        if site[1] > 0:
-            r = r_mask[site] & 1
-            angle = angle + int(thetas[site]) + 4 * r
-        amps, history = qsim.split_branches(amps, history, 0, angle)
+    for k, (i, j) in enumerate(pattern.sites()):
+        sX, sZ = flow_bits(pattern, k, history ^ r_bits)
+        theta = r = 0
+        if j > 0:
+            theta, r = thetas[i, j], r_mask[i, j] & 1
+        delta = blind_delta(pattern.phi[i][j], sX, sZ, theta, r)
+        amps, history = qsim.split_branches(amps, history, 0, delta)
         r_bits = (r_bits << 1) | r
-    # the output column is measured last: row i's bit is bit n-1-i
     keys = (history ^ r_bits) & ((1 << pattern.n) - 1)
     probs = amps[:, 0].real ** 2 + amps[:, 0].imag ** 2
     totals = np.bincount(keys, weights=probs, minlength=1 << pattern.n)
     _, first = np.unique(keys, return_index=True)
-    law = {}
-    for key in keys[np.sort(first)].tolist():   # in order of first branch
-        bits = tuple((key >> (pattern.n - 1 - i)) & 1 for i in range(pattern.n))
-        law[bits] = float(totals[key])
+    law = {output_bits(pattern.n, key): float(totals[key])
+           for key in keys[np.sort(first)].tolist()}   # in order of first branch
     if abs(sum(law.values()) - 1.0) > 1e-9:
         raise MbqcError("branch probabilities do not sum to 1")
     return law

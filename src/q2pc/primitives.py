@@ -1,5 +1,5 @@
-"""Classical crypto building blocks: hash commitments, PRG-stream encryption,
-one-time polynomial MAC, and deterministic coin sources.
+"""Classical crypto building blocks: hash commitments, PRG-stream encryption
+and deterministic coin sources.
 
 All randomness in the repository flows through CoinSource so that every
 protocol run is replayable from a 32-byte seed.  The hash is SHA-256
@@ -18,12 +18,6 @@ from dataclasses import dataclass, field
 HASH_LEN = 32
 COM_DEC_LEN = 32
 SYM_KEY_LEN = 32
-MAC_KEY_LEN = 64
-MAC_TAG_LEN = 16
-
-# Mersenne prime for the polynomial MAC; fits comfortably above 15-byte chunks.
-_MAC_PRIME = (1 << 127) - 1
-_MAC_CHUNK = 15
 
 
 def sha256(data: bytes) -> bytes:
@@ -138,43 +132,8 @@ def otp_decrypt(key: SymKey, ciphertext: bytes, nonce: bytes) -> bytes:
     return bytes(a ^ b for a, b in zip(ciphertext, stream))
 
 
-# ------------------------------------------------------------------------ MAC
-
-@dataclass(frozen=True)
-class MacKey:
-    k1: bytes
-
-    def __post_init__(self):
-        if len(self.k1) != MAC_KEY_LEN:
-            raise ValueError("MacKey must be exactly 64 bytes")
-
-
-def mac_tag(key: MacKey, msg: bytes) -> bytes:
-    """Carter-Wegman polynomial-evaluation tag, Poly1305-style chunking.
-
-    Each 15-byte chunk gets a 0x01 terminator byte before conversion, which
-    binds the message length (a truncated message changes the final chunk).
-    """
-    r = int.from_bytes(sha256(b"macr|" + key.k1[:32]), "little") % _MAC_PRIME
-    s = int.from_bytes(sha256(b"macs|" + key.k1[32:]), "little") % _MAC_PRIME
-    acc = 0
-    for off in range(0, len(msg), _MAC_CHUNK):
-        chunk = msg[off:off + _MAC_CHUNK] + b"\x01"
-        acc = (acc + int.from_bytes(chunk, "little")) * r % _MAC_PRIME
-    tag = (acc + s) % _MAC_PRIME
-    return tag.to_bytes(MAC_TAG_LEN, "little")
-
-
-def mac_verify(key: MacKey, msg: bytes, tag: bytes) -> bool:
-    return mac_tag(key, msg) == tag
-
-
 def fresh_sym_key(randomness: CoinSource) -> SymKey:
     return SymKey(randomness.take_bytes(SYM_KEY_LEN))
-
-
-def fresh_mac_key(randomness: CoinSource) -> MacKey:
-    return MacKey(randomness.take_bytes(MAC_KEY_LEN))
 
 
 def xor_bytes(a: bytes, b: bytes) -> bytes:

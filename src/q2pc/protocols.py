@@ -1,6 +1,6 @@
 """The interactive protocols as dual party functions over the channel:
-semi-honest OQFE, malicious-Alice OQFE, general blind two-party computation,
-and the output-delivery wrapper.
+semi-honest OQFE, malicious-Alice OQFE and general blind two-party
+computation.
 
 OQFE: classical Alice with bit b learns s_b = M_Z[Rx(-b*pi/2) |psi_in>] on
 quantum Bob's input qubit, hiding b.  Alice drives RSP so Bob holds |+_theta>
@@ -14,12 +14,13 @@ measure qubit 0 in X (m0), qubit 1 at delta (m1, never sent), correct the
 output qubit by X^m1 Z^m0, Z-measure (s_bar).
 
 The malicious-Alice variant forces the RSP key through a shared coin toss:
-Alice commits her coin share, learns Bob's, derives the keypair from the
-XOR, and proves in zero knowledge that the published key matches.  The
-blind-computation protocol runs one 8-state RSP per non-input pattern site,
-then the column-major measurement loop where every delta message is
-preceded by an accepted blind-angle proof; Bob aborts before measuring on
-any rejected proof.
+Alice commits her coin share, learns Bob's, derives the keypair from both
+(lattice.gen_from_shares), and proves in zero knowledge that the published
+key matches.  The blind-computation protocol does the same for each of its
+keys, runs one 8-state RSP per non-input pattern site, then the
+column-major measurement loop where every delta (mbqc.flow_bits and
+mbqc.blind_delta over Alice's outcome history) is preceded by an accepted
+blind-angle proof; Bob aborts before measuring on any rejected proof.
 
 Abort taxonomy: every ProtocolAbort carries (phase, site, cause) so tests
 can assert exact abort points.
@@ -33,10 +34,8 @@ from dataclasses import dataclass, field
 from . import channel, lattice, mbqc, qsim, rsp, zk
 from .channel import Endpoint, canonical_encode
 from .lattice import LatticeParams, TrapdoorKeypair
-from .mbqc import BrickworkPattern, OutcomeBoard
-from .primitives import (CoinSource, MacKey, SymKey, coin_source, commit,
-                         mac_tag, mac_verify, otp_decrypt, otp_encrypt,
-                         xor_bytes)
+from .mbqc import BrickworkPattern
+from .primitives import CoinSource, coin_source, commit
 from .qsim import Angle8, StateVector
 
 
@@ -56,7 +55,7 @@ class ProtocolAbort(ProtocolError):
 
 def oqfe_delta(b: int, theta2: int, r_a: int) -> Angle8:
     """delta = phi_b + theta2*pi/2 + r_A*pi, phi_b = b*pi/2."""
-    return mbqc.compute_delta(Angle8(2 * b), Angle8(2 * theta2), r_a)
+    return mbqc.blind_delta(2 * b, 0, 0, 2 * theta2, r_a)
 
 
 def oqfe_decode(b: int, theta1: int, r_a: int, m0: int, s_bar: int) -> int:
@@ -177,8 +176,24 @@ def oqfe_sh_bob(ep: Endpoint, psi_in: StateVector, params: LatticeParams,
 
 # ------------------------------------------------------ OQFE malicious-Alice
 # The key comes from a coin toss: Alice commits her share, learns Bob's,
-# derives the keypair from the XOR and proves that derivation.  The two
+# derives the keypair from both shares and proves that derivation.  The two
 # halves of her side are separate so scripted cheats can deviate between.
+
+def _prove_keygen(params: LatticeParams, auth: zk.ZkAuthority,
+                  statement: tuple, witness) -> bytes:
+    """Alice's key-generation proof token for (com_f, r_f_bob, pk_bytes)."""
+    session = zk.new_session(zk.rel_keygen(params), statement, "prover", auth)
+    return zk.prove(session, witness)[0]
+
+
+def _verify_keygen(params: LatticeParams, auth: zk.ZkAuthority,
+                   statement: tuple, token, site) -> zk.ZkSession:
+    """Bob's check of one key-generation proof; aborts on rejection."""
+    session = zk.new_session(zk.rel_keygen(params), statement, "verifier", auth)
+    if zk.verify(session, [token]) != "accept":
+        raise ProtocolAbort("keygen-proof", site, "key generation proof rejected")
+    return session
+
 
 def _alice_coin_toss(ep: Endpoint, coins: CoinSource):
     """Commit to Alice's coin share and learn Bob's; returns
@@ -194,17 +209,15 @@ def _alice_publish_key(ep: Endpoint, params: LatticeParams,
                        kp: TrapdoorKeypair, witness) -> None:
     """Send the public key with a key-generation proof for witness."""
     pk_bytes = kp.public.to_bytes()
-    tokens = zk.prove(zk.new_session(zk.rel_keygen(params),
-                                     (com_f, r_f_b, pk_bytes), "prover", auth),
-                      witness)
+    token = _prove_keygen(params, auth, (com_f, r_f_b, pk_bytes), witness)
     ep.send("rsp.key", pk_bytes)
-    ep.send("zk.token", tokens[0])
+    ep.send("zk.token", token)
 
 
 def oqfe_mal_alice(ep: Endpoint, b: int, params: LatticeParams,
                    coins: CoinSource, authority: zk.ZkAuthority) -> OqfeAliceView:
     r_f_a, com_f, dec_f, r_f_b = _alice_coin_toss(ep, coins)
-    kp = lattice.gen_regular(params, coin_source(xor_bytes(r_f_a, r_f_b), "gen"))
+    kp = lattice.gen_from_shares(params, r_f_a, r_f_b)
     _alice_publish_key(ep, params, authority, com_f, r_f_b, kp, (r_f_a, dec_f))
     return _oqfe_alice_steps(ep, b, kp, coins)
 
@@ -218,12 +231,8 @@ def oqfe_mal_bob(ep: Endpoint, psi_in: StateVector, params: LatticeParams,
     ep.send("q2pc.coin", view.r_f_bob)
     view.pk_bytes = ep.expect("rsp.key").value()
     token = ep.expect("zk.token").value()
-    statement = (view.com_f, view.r_f_bob, view.pk_bytes)
-    session = zk.new_session(zk.rel_keygen(params), statement, "verifier",
-                             authority)
-    view.keygen_session = session
-    if zk.verify(session, [token]) != "accept":
-        raise ProtocolAbort("keygen-proof", None, "key generation proof rejected")
+    view.keygen_session = _verify_keygen(
+        params, authority, (view.com_f, view.r_f_bob, view.pk_bytes), token, None)
     pk = lattice.PublicKey.from_bytes(params, view.pk_bytes)
     return _oqfe_bob_steps(ep, view, pk, psi_in, coins, backend)
 
@@ -239,7 +248,16 @@ class Q2pcAliceResult:
     output: tuple
     thetas: dict = field(default_factory=dict)
     r_mask: dict = field(default_factory=dict)
-    board: OutcomeBoard = field(default_factory=OutcomeBoard)
+
+
+def _expect_outcome(ep: Endpoint, phase: str, site) -> int:
+    """Bob's outcome bit for site, which must be the site measured next."""
+    tag, i, j, bit = ep.expect("q2pc.outcome").value()
+    if (tag, i, j) != ("site", *site):
+        raise ProtocolAbort(phase, site, "outcome out of order")
+    if bit not in (0, 1):
+        raise ProtocolAbort(phase, site, "outcome is not a bit")
+    return bit
 
 
 def q2pc_alice(ep: Endpoint, pattern: BrickworkPattern, params: LatticeParams,
@@ -263,14 +281,12 @@ def q2pc_alice(ep: Endpoint, pattern: BrickworkPattern, params: LatticeParams,
     bob_shares = ep.expect("q2pc.coin").value()
     kps: dict[tuple, TrapdoorKeypair] = {}
     tokens = []
-    rel_f = zk.rel_keygen(params)
     for idx, (s, run) in enumerate(((s, r) for s in sites for r in (0, 1))):
-        seed = xor_bytes(shares[s, run], bob_shares[idx])
-        kps[s, run] = lattice.gen_regular(params, coin_source(seed, "gen"))
+        kps[s, run] = lattice.gen_from_shares(params, shares[s, run],
+                                              bob_shares[idx])
         statement = (com_f[s, run], bob_shares[idx], kps[s, run].public.to_bytes())
-        tokens.append(zk.prove(
-            zk.new_session(rel_f, statement, "prover", authority),
-            (shares[s, run], dec_f[s, run]))[0])
+        tokens.append(_prove_keygen(params, authority, statement,
+                                    (shares[s, run], dec_f[s, run])))
     ep.send("rsp.key", [kps[s, run].public.to_bytes()
                         for s in sites for run in (0, 1)])
     ep.send("zk.token", tokens)
@@ -292,30 +308,26 @@ def q2pc_alice(ep: Endpoint, pattern: BrickworkPattern, params: LatticeParams,
             raise ProtocolAbort("rsp", s, str(exc)) from exc
         result.thetas[s] = rsp.alice_merge_theta(first, second, Angle8(u), t)
 
+    # corrected outcomes so far, one bit per site in measurement order,
+    # the latest site in the lowest bit (the mbqc.flow_bits layout)
+    s_bar = 0
     for i in range(pattern.n):
-        tag, ii, jj, bit = ep.expect("q2pc.outcome").value()
-        if (tag, ii, jj) != ("site", i, 0):
-            raise ProtocolAbort("input-column", (i, 0), "outcome out of order")
-        result.board.record((i, 0), bit)
+        s_bar = (s_bar << 1) | _expect_outcome(ep, "input-column", (i, 0))
 
     rel_d = zk.rel_delta()
-    for s in sites:
+    for k, s in enumerate(sites, start=pattern.n):
         i, j = s
-        sX, sZ = mbqc.accumulate_dependencies(result.board, pattern, s)
+        sX, sZ = mbqc.flow_bits(pattern, k, s_bar)
         phi = pattern.phi[i][j]
-        phi_p = mbqc.compute_phi_prime(phi, sX, sZ)
         r = result.r_mask[s]
-        delta = mbqc.compute_delta(phi_p, result.thetas[s], r)
+        delta = mbqc.blind_delta(phi, sX, sZ, result.thetas[s], r)
         statement = (int(delta), sZ, sX, com_phi[s])
         token = zk.prove(zk.new_session(rel_d, statement, "prover", authority),
                          (int(phi), dec_phi[s], int(result.thetas[s]), r))[0]
         ep.send("zk.token", token)
         ep.send("q2pc.delta", (i, j, int(delta), sX, sZ))
-        tag, ii, jj, raw = ep.expect("q2pc.outcome").value()
-        if (tag, ii, jj) != ("site", i, j):
-            raise ProtocolAbort("measurement", s, "outcome out of order")
-        result.board.record(s, raw, r)
-    result.output = tuple(result.board.s_bar[s] for s in pattern.output_sites())
+        s_bar = (s_bar << 1) | (_expect_outcome(ep, "measurement", s) ^ r)
+    result.output = mbqc.output_bits(pattern.n, s_bar)
     return result
 
 
@@ -346,12 +358,10 @@ def q2pc_bob(ep: Endpoint, psi_in: StateVector, params: LatticeParams,
     tokens = ep.expect("zk.token").value()
     if len(pk_list) != 2 * len(sites) or len(tokens) != 2 * len(sites):
         raise ProtocolAbort("keygen-proof", None, "key or token count mismatch")
-    rel_f = zk.rel_keygen(params)
     for idx, (s, run) in enumerate(((s, r) for s in sites for r in (0, 1))):
-        statement = (com_f_list[idx], bob_shares[idx], pk_list[idx])
-        session = zk.new_session(rel_f, statement, "verifier", authority)
-        if zk.verify(session, [tokens[idx]]) != "accept":
-            raise ProtocolAbort("keygen-proof", s, "key generation proof rejected")
+        _verify_keygen(params, authority,
+                       (com_f_list[idx], bob_shares[idx], pk_list[idx]),
+                       tokens[idx], s)
 
     merged: list[StateVector] = []
     for idx, s in enumerate(sites):
@@ -390,41 +400,6 @@ def q2pc_bob(ep: Endpoint, psi_in: StateVector, params: LatticeParams,
         result.raw_outcomes[s] = bit
         ep.send("q2pc.outcome", ("site", i, j, bit))
     return result
-
-
-# ----------------------------------------------------- output delivery wrap
-
-@dataclass
-class DeliveryResult:
-    y_alice: bytes
-    y_bob: bytes | None
-    rejected: bool
-
-
-def output_delivery_run(f, x_alice: bytes, y_bob_in: bytes,
-                        coins: CoinSource,
-                        tamper: bool = False) -> DeliveryResult:
-    """Wrap a classical functionality f(x_A, y_B_in) -> (y_A, y_B) so Bob
-    gets his output authenticated: the augmented functionality (modeled by a
-    trusted in-process evaluator standing in for an inner blind computation)
-    returns (y_A, Enc_B) to Alice, who forwards Enc_B; Bob decrypts with his
-    keys and rejects on MAC failure."""
-    sid = coins.child("sid").take_bytes(16)
-    a_ep, b_ep = channel.inproc_pair(sid)
-    # Bob's key extension, part of his functionality input
-    k_mac = MacKey(coins.child("k1").take_bytes(64))
-    k_enc = SymKey(coins.child("k2").take_bytes(32))
-    # trusted evaluation of the augmented functionality
-    y_alice, y_bob = f(x_alice, y_bob_in)
-    ct = otp_encrypt(k_enc, y_bob, sid)
-    tag = mac_tag(k_mac, ct)
-    if tamper:
-        ct = bytes([ct[0] ^ 1]) + ct[1:] if ct else b"\x01"
-    a_ep.send("deliver.enc", (ct, tag))
-    ct_r, tag_r = b_ep.expect("deliver.enc").value()
-    if not mac_verify(k_mac, ct_r, tag_r):
-        return DeliveryResult(y_alice, None, True)
-    return DeliveryResult(y_alice, otp_decrypt(k_enc, ct_r, sid), False)
 
 
 # ------------------------------------------------------------ thread driver

@@ -26,7 +26,7 @@ from typing import Callable
 
 from . import lattice, mbqc
 from .channel import canonical_encode
-from .primitives import coin_source, sha256, verify_commitment, xor_bytes
+from .primitives import sha256, verify_commitment
 from .qsim import Angle8
 
 _SIMULATED = object()
@@ -71,10 +71,17 @@ class ZkSession:
     verdict: str = "pending"
 
 
+def _check_authority(authority) -> None:
+    # fail at the call, not later inside prove() or verify()
+    if not isinstance(authority, ZkAuthority):
+        raise ZkError(f"a ZkAuthority is required, got {type(authority).__name__}")
+
+
 def new_session(relation: Relation, statement, role: str,
                 authority: ZkAuthority) -> ZkSession:
     if role not in ("prover", "verifier"):
         raise ZkError(f"unknown role {role!r}")
+    _check_authority(authority)
     return ZkSession(relation, statement, role, authority)
 
 
@@ -91,6 +98,7 @@ def prove(session: ZkSession, witness) -> list[bytes]:
 def simulate(relation: Relation, statement,
              authority: ZkAuthority) -> list[bytes]:
     """Witness-free proof; byte-identical token to an honest prover's."""
+    _check_authority(authority)
     token = proof_token(relation, statement)
     authority.deposit(token, _SIMULATED)
     return [token]
@@ -152,21 +160,19 @@ def rel_keygen(params: lattice.LatticeParams) -> Relation:
             return False
         if len(r_f_alice) != len(r_f_bob):
             return False
-        kp = lattice.gen_regular(params,
-                                 coin_source(xor_bytes(r_f_alice, r_f_bob), "gen"))
+        kp = lattice.gen_from_shares(params, r_f_alice, r_f_bob)
         return kp.public.to_bytes() == pk_bytes
     return Relation("key-generation", predicate)
 
 
 def rel_delta() -> Relation:
     """Statement (delta, sZ, sX, com); witness (phi, dec, theta, r): com opens
-    to the plain angle phi and delta = phi' + theta + r*pi with
-    phi' = (-1)^sX phi + sZ*pi."""
+    to the plain angle phi and delta = mbqc.blind_delta(phi, sX, sZ, theta,
+    r), the angle Alice sends."""
     def predicate(statement, witness):
         delta, sZ, sX, com = statement
         phi, dec, theta, r = witness
         if not verify_commitment(com, dec, canonical_encode(int(phi))):
             return False
-        phi_prime = mbqc.compute_phi_prime(Angle8(phi), sX, sZ)
-        return Angle8(delta) == mbqc.compute_delta(phi_prime, Angle8(theta), r)
+        return Angle8(delta) == mbqc.blind_delta(phi, sX, sZ, theta, r)
     return Relation("blind-angle", predicate)

@@ -102,6 +102,18 @@ def test_unknown_flag_exit_2(capsys):
 
 def test_unknown_pattern_exit_2(capsys):
     assert cli.main(["q2pc", "run", "--pattern", "nope"]) == 2
+    assert cli.main(["q2pc", "run", "--pattern", "brick:x"]) == 2   # not an angle
+
+
+@pytest.mark.parametrize("argv", [
+    ["extractor", "--trials", "0"],           # 0 is not "use the default"
+    ["delta-uniformity", "--trials", "0"],
+    ["backend-eq", "--trials", "-3"],
+    ["delta-uniformity", "--trials", "1"]],   # threshold 2.5: cannot fail
+    ids=["extractor-0", "delta-0", "backend-eq-negative", "delta-1"])
+def test_unusable_trial_count_exit_2(capsys, argv):
+    assert cli.main(["experiment"] + argv) == 2
+    assert "trials" in capsys.readouterr().err
 
 
 def test_missing_subcommand_exit_2(capsys):

@@ -16,7 +16,7 @@ from q2pc.qsim import Angle8
 TINY = get_profile("tiny").params
 
 # SHA-256 of stdout followed by the --transcript file (stdout only for
-# compile, which writes no transcript)
+# compile and experiment, which write no transcript)
 CLI_DIGESTS = [
     (["q2pc", "run", "--pattern", "brick:1,3", "--seed", "demo"],
      "53432a8298154e5342d06bc9d3aefecd516690208cf97011b580bf9193a82705"),
@@ -27,14 +27,19 @@ CLI_DIGESTS = [
     (["compile", "fullsim", "--pattern", "rx_teleport:2", "--input", "iplus",
       "--seed", "demo"],
      "2bea9189478856bd4beb8323b88c553ac71bf8d5145b6256e86f1680c4a7aa8a"),
+    # the exact blinded law's floats, at the angles and masks of a real run
+    (["experiment", "q2pc-correctness", "--pattern", "brick:1,3", "--seed", "demo"],
+     "29391963f840dd895f5ad67ebe581448d091b8b2caedbec59e660d9866c38c47"),
 ]
 
 
 @pytest.mark.parametrize("argv, digest", CLI_DIGESTS,
-                         ids=["q2pc-brick", "oqfe-sh", "oqfe-mal", "compile-fullsim"])
+                         ids=["q2pc-brick", "oqfe-sh", "oqfe-mal", "compile-fullsim",
+                              "q2pc-correctness"])
 def test_cli_output_is_pinned(argv, digest, tmp_path, capsys):
     path = tmp_path / "transcript.json"
-    extra = [] if argv[0] == "compile" else ["--transcript", str(path)]
+    extra = ([] if argv[0] in ("compile", "experiment")
+             else ["--transcript", str(path)])
     assert cli.main(argv + extra) == 0
     data = capsys.readouterr().out.encode()
     if extra:

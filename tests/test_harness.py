@@ -81,6 +81,15 @@ def test_delta_sampling_mode_is_deterministic():
     assert a.passed
 
 
+def test_sampled_threshold_refuses_checks_that_cannot_run_or_fail():
+    assert harness.sampled_threshold(400) == 0.125
+    assert harness.sampled_threshold(10_000) == 0.03
+    assert harness.sampled_threshold(7) < 1.0
+    for trials in (-3, 0, 1, 6):
+        with pytest.raises(harness.HarnessError):
+            harness.sampled_threshold(trials)
+
+
 # ------------------------------------------------------ backend equivalence
 
 def test_backend_equivalence_exact():
@@ -115,6 +124,35 @@ def test_corrected_simulator_is_exact(b):
 def test_literal_simulator_gap_is_reported(b):
     rep = harness.simulator_tv_experiment(PLUS, b, variant="literal")
     assert rep.tv > 0.05 and not rep.passed
+
+
+def loop_view_classes(kp):
+    """Reference: walk every image point and parity, one class per
+    (theta2, parity, hx * hx') in first-seen order."""
+    census = lattice.image_census(kp.public)
+    p_y, half = 1.0 / len(census), 1 << (kp.params.preimage_bits - 1)
+    acc = {}
+    for hx, hxp in census.hardcore_bits():
+        theta2, hh = hx ^ hxp, hx * hxp
+        for parity in (0, 1):
+            cl = acc.setdefault((theta2, parity, hh), {
+                "theta2": theta2, "theta1": (theta2 * parity) ^ hh,
+                "p_real": 0.0, "p_literal": 0.0, "n_pairs": 0})
+            cl["p_real"] += (p_y / 2 if theta2 else p_y * (parity == 0))
+            cl["p_literal"] += p_y / 2
+            cl["n_pairs"] += half
+    return list(acc.values())
+
+
+@pytest.mark.parametrize("kp", [KP, KP2], ids=["d0=0", "d0=1"])
+def test_view_classes_match_a_loop_over_every_point(kp):
+    got, ref = harness._view_classes(kp), loop_view_classes(kp)
+    assert [(c["theta2"], c["theta1"], c["n_pairs"]) for c in got] == \
+        [(c["theta2"], c["theta1"], c["n_pairs"]) for c in ref]
+    for a, b in zip(got, ref):
+        # a count times p_y against a running sum of p_y: last bits only
+        assert a["p_real"] == pytest.approx(b["p_real"], rel=1e-12, abs=1e-15)
+        assert a["p_literal"] == pytest.approx(b["p_literal"], rel=1e-12)
 
 
 def test_real_and_simulated_laws_are_distributions():

@@ -3,10 +3,11 @@ reference evaluator against an independent circuit-model oracle."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from q2pc import mbqc, qsim
-from q2pc.mbqc import (BrickworkPattern, OutcomeBoard, accumulate_dependencies,
-                       compute_delta, compute_phi_prime)
+from q2pc.mbqc import BrickworkPattern, blind_delta, flow_bits
 from q2pc.primitives import coin_source
 from q2pc.qsim import Angle8
 
@@ -34,23 +35,23 @@ INPUTS_2 = [qsim.basis_state(2, 0), qsim.basis_state(2, 3),
 # ------------------------------------------------------- angle arithmetic
 
 def test_phi_prime_identity_case():
-    assert compute_phi_prime(Angle8(2), 0, 0) == Angle8(2)
+    assert blind_delta(Angle8(2), 0, 0) == Angle8(2)
 
 
 def test_phi_prime_negation():
-    assert compute_phi_prime(Angle8(2), 1, 0) == Angle8(6)
+    assert blind_delta(Angle8(2), 1, 0) == Angle8(6)
 
 
 def test_phi_prime_both_flips():
-    assert compute_phi_prime(Angle8(1), 1, 1) == Angle8(3)
+    assert blind_delta(Angle8(1), 1, 1) == Angle8(3)
 
 
 def test_delta_zero_case():
-    assert compute_delta(Angle8(0), Angle8(0), 0) == Angle8(0)
+    assert blind_delta(Angle8(0), 0, 0, Angle8(0), 0) == Angle8(0)
 
 
 def test_delta_wraps():
-    assert compute_delta(Angle8(2), Angle8(2), 1) == Angle8(0)
+    assert blind_delta(Angle8(2), 0, 0, Angle8(2), 1) == Angle8(0)
 
 
 def test_delta_matches_two_level_formula():
@@ -58,7 +59,7 @@ def test_delta_matches_two_level_formula():
     for b in (0, 1):
         for th2 in (0, 1):
             for r in (0, 1):
-                d = compute_delta(Angle8(2 * b), Angle8(2 * th2), r)
+                d = blind_delta(Angle8(2 * b), 0, 0, Angle8(2 * th2), r)
                 assert int(d) == 2 * ((b + th2 + 2 * r) % 4)
 
 
@@ -66,28 +67,22 @@ def test_angle_ops_stay_in_angle8():
     for phi in range(8):
         for sx in (0, 1):
             for sz in (0, 1):
-                assert isinstance(compute_phi_prime(Angle8(phi), sx, sz), Angle8)
-                assert isinstance(compute_delta(Angle8(phi), Angle8(sz), sx), Angle8)
+                assert isinstance(blind_delta(Angle8(phi), sx, sz), Angle8)
+                assert isinstance(blind_delta(Angle8(phi), 0, 0, Angle8(sz), sx),
+                                  Angle8)
 
 
 # ---------------------------------------------------------- dependencies
 
 def test_empty_dependencies():
     pat = mbqc.identity_pattern()
-    assert accumulate_dependencies(OutcomeBoard(), pat, (0, 0)) == (0, 0)
+    assert flow_bits(pat, 0, 0) == (0, 0)
 
 
 def test_single_x_dependency():
     pat = mbqc.identity_pattern()
-    board = OutcomeBoard()
-    board.record((0, 0), 1)
-    assert accumulate_dependencies(board, pat, (0, 1)) == (1, 0)
-
-
-def test_unmeasured_dependency_raises():
-    pat = mbqc.identity_pattern()
-    with pytest.raises(mbqc.MbqcError):
-        accumulate_dependencies(OutcomeBoard(), pat, (0, 1))
+    # site (0, 0) measured with corrected outcome 1
+    assert flow_bits(pat, 1, 1) == (1, 0)
 
 
 def test_linear_chain_dependencies_match_teleport_flow():
@@ -104,11 +99,57 @@ def test_bridge_adds_cross_wire_z_dependency():
     assert pat.z_dep((1, 1)) == ((0, 0),)
 
 
-def test_double_measurement_rejected():
-    board = OutcomeBoard()
-    board.record((0, 0), 0)
-    with pytest.raises(mbqc.MbqcError):
-        board.record((0, 0), 1)
+@st.composite
+def flow_cases(draw):
+    """A random brickwork pattern, preparation angles and masks, and a few
+    corrected-outcome strings, one bit per site in measurement order."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 8 // n))
+    phi = tuple(tuple(Angle8(0 if j == 0 else draw(st.integers(0, 7)))
+                      for j in range(m)) for _ in range(n))
+    bridges = tuple((i, j) for j in range(1, m)
+                    for i in range(j % 2, n - 1, 2) if draw(st.booleans()))
+    pattern = BrickworkPattern(n, m, phi, bridges)
+    thetas = {s: draw(st.integers(0, 7)) for s in pattern.sites()}
+    masks = {s: draw(st.integers(0, 1)) for s in pattern.sites()}
+    rows = draw(st.lists(st.lists(st.integers(0, 1), min_size=n * m,
+                                  max_size=n * m), min_size=1, max_size=6))
+    return pattern, thetas, masks, rows
+
+
+def oracle_delta(pattern, site, outcomes, theta, r):
+    """The flow by hand: outcomes maps each measured site to its corrected
+    bit; sum the dependencies, flip and shift phi, add theta and r*pi."""
+    sX = sum(outcomes[d] for d in pattern.x_dep(site)) % 2
+    sZ = sum(outcomes[d] for d in pattern.z_dep(site)) % 2
+    phi = int(pattern.phi[site[0]][site[1]])
+    return sX, sZ, ((-phi if sX else phi) + 4 * sZ + theta + 4 * r) % 8
+
+
+@settings(max_examples=100, deadline=None)
+@given(flow_cases())
+def test_flow_bits_and_blind_delta_match_a_dict_walk(case):
+    pattern, thetas, masks, rows = case
+    for k, site in enumerate(pattern.sites()):
+        theta, r = thetas[site], masks[site]
+        expected = [oracle_delta(pattern, site,
+                                 dict(zip(pattern.sites()[:k], row)), theta, r)
+                    for row in rows]
+        # each row's history holds site l at bit k-1-l
+        histories = [sum(bit << (k - 1 - l) for l, bit in enumerate(row[:k]))
+                     for row in rows]
+        for s_bar, (sX, sZ, delta) in zip(histories, expected):
+            assert flow_bits(pattern, k, s_bar) == (sX, sZ)
+            got = blind_delta(pattern.phi[site[0]][site[1]], sX, sZ, theta, r)
+            assert isinstance(got, Angle8) and got == delta
+        sX, sZ = flow_bits(pattern, k, np.array(histories, dtype=np.int64))
+        assert np.array_equal(sX, [e[0] for e in expected])
+        assert np.array_equal(sZ, [e[1] for e in expected])
+        deltas = blind_delta(pattern.phi[site[0]][site[1]], sX, sZ, theta, r)
+        assert np.array_equal(deltas, [e[2] for e in expected])
+    for row in rows:
+        history = sum(bit << (len(row) - 1 - l) for l, bit in enumerate(row))
+        assert mbqc.output_bits(pattern.n, history) == tuple(row[-pattern.n:])
 
 
 # ------------------------------------------------------------- evaluator
@@ -162,10 +203,8 @@ def test_flow_determinism_per_branch():
     full = mbqc.entangled_graph_state(pat, st)
     for first in qsim.enumerate_branches(full, [(0, Angle8(0))]):
         assert not first.impossible and abs(first.probability - 0.5) < 1e-9
-        board = OutcomeBoard()
-        board.record((0, 0), first.outcomes[0])
-        sX, sZ = accumulate_dependencies(board, pat, (0, 1))
-        ang = compute_phi_prime(Angle8(0), sX, sZ)
+        sX, sZ = flow_bits(pat, 1, first.outcomes[0])
+        ang = blind_delta(Angle8(0), sX, sZ)
         _zero, one = qsim.enumerate_branches(first.residual, [(0, ang)])
         assert abs(one.probability - 1.0) < 1e-9  # corrected outcome always 1
 

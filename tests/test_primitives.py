@@ -83,43 +83,12 @@ def test_otp_streams_differ_across_nonces():
     assert len(streams) == 1000
 
 
-def test_mac_roundtrip_and_truncation():
-    src = pr.coin_source(SEED, "m")
-    key = pr.fresh_mac_key(src)
-    msg = b"some authenticated bytes"
-    tag = pr.mac_tag(key, msg)
-    assert len(tag) == pr.MAC_TAG_LEN
-    assert pr.mac_verify(key, msg, tag)
-    assert not pr.mac_verify(key, msg[:-1], tag)
-
-
-def test_mac_random_mutations_rejected():
-    src = pr.coin_source(SEED, "m2")
-    key = pr.fresh_mac_key(src)
-    msg = bytearray(src.take_bytes(64))
-    tag = pr.mac_tag(key, bytes(msg))
-    for _ in range(1000):
-        i = src.randint(len(msg))
-        bit = 1 << src.randint(8)
-        mutated = bytearray(msg)
-        mutated[i] ^= bit
-        assert not pr.mac_verify(key, bytes(mutated), tag)
-
-
-def test_mac_keys_distinct_tags():
-    src = pr.coin_source(SEED, "m3")
-    tags = {pr.mac_tag(pr.fresh_mac_key(src), b"fixed") for _ in range(1000)}
-    assert len(tags) == 1000
-
-
 @settings(max_examples=50)
 @given(st.binary(min_size=0, max_size=4096))
 def test_otp_mac_roundtrip_property(msg):
     src = pr.coin_source(SEED, "prop")
     key = pr.fresh_sym_key(src)
-    mkey = pr.fresh_mac_key(src)
     assert pr.otp_decrypt(key, pr.otp_encrypt(key, msg, b"x"), b"x") == msg
-    assert pr.mac_verify(mkey, msg, pr.mac_tag(mkey, msg))
 
 
 def test_binding_smoke():

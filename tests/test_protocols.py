@@ -1,6 +1,6 @@
 """Interactive protocols: OQFE output law against the rotated-measurement
 oracle, message hygiene on the wire, malicious-mode agreement and aborts,
-blind pattern evaluation against the circuit reference, and output delivery."""
+and blind pattern evaluation against the circuit reference."""
 
 import itertools
 import threading
@@ -228,6 +228,57 @@ def test_tampered_blind_angle_proof_aborts_before_measurement():
     assert ["site", 0, 1] not in [s[:3] for s in sites]
 
 
+class _ScriptedOutcomes:
+    """Bob's endpoint with each site outcome he sends rewritten by
+    script(value); one message still goes out per send, so the channel's
+    sequence numbers stay intact and only the protocol can object."""
+
+    def __init__(self, inner, script):
+        self._inner, self._script = inner, script
+
+    def send(self, msg_type, value):
+        if msg_type == "q2pc.outcome" and value[0] == "site":
+            value = self._script(tuple(value))
+        self._inner.send(msg_type, value)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+def _repeat_first_site(value):
+    return ("site", 0, 0, value[3]) if value[1:3] == (1, 0) else value
+
+
+def _swap_measured_sites(value):
+    swap = {(0, 1): (1, 1), (1, 1): (0, 1)}
+    return ("site", *swap.get(value[1:3], value[1:3]), value[3])
+
+
+def _non_bit_outcome(value):
+    return value[:3] + (2,) if value[1:3] == (0, 0) else value
+
+
+@pytest.mark.parametrize("script, phase, site, cause", [
+    (_repeat_first_site, "input-column", (1, 0), "outcome out of order"),
+    (_swap_measured_sites, "measurement", (0, 1), "outcome out of order"),
+    (_non_bit_outcome, "input-column", (0, 0), "outcome is not a bit")],
+    ids=["repeated", "reordered", "not-a-bit"])
+def test_alice_aborts_on_a_repeated_reordered_or_non_bit_outcome(
+        script, phase, site, cause):
+    pattern = mbqc.brick_pattern(Angle8(1), Angle8(3))
+    psi = qsim.tensor(INPUTS["plus"], INPUTS["plus"])
+    auth = zk.ZkAuthority()
+    with pytest.raises(protocols.ProtocolAbort) as info:
+        protocols.run_pair(
+            lambda ep: protocols.q2pc_alice(ep, pattern, TINY,
+                                            coin_source(seeded(3), "alice"), auth),
+            lambda ep: protocols.q2pc_bob(_ScriptedOutcomes(ep, script), psi,
+                                          TINY, coin_source(seeded(3), "bob"),
+                                          rsp.rsp_bob_shortcut, auth),
+            bytes(16))
+    assert (info.value.phase, info.value.site, info.value.cause) == (phase, site, cause)
+
+
 def test_bob_input_width_mismatch_is_an_mbqc_error():
     two_qubits = qsim.tensor(qsim.plus_state(), qsim.plus_state())
     with pytest.raises(mbqc.MbqcError):
@@ -279,32 +330,3 @@ def test_run_pair_fails_closed_on_unexpected_alice_error():
     assert not driver.is_alive(), "run_pair left Bob blocked"
     assert str(outcome["exc"]) == "injected"
     assert not bob_threads[0].is_alive()
-
-
-# --------------------------------------------------------- output delivery
-
-def xor_func(x_a, y_b):
-    out = bytes(a ^ b for a, b in zip(x_a, y_b))
-    return x_a, out
-
-
-def test_output_delivery_honest():
-    res = protocols.output_delivery_run(xor_func, b"\x0f\x0f", b"\xf0\x0f",
-                                        coin_source(seeded(1), "deliver"))
-    assert not res.rejected
-    assert res.y_bob == b"\xff\x00"
-    assert res.y_alice == b"\x0f\x0f"
-
-
-def test_output_delivery_detects_tampering():
-    res = protocols.output_delivery_run(xor_func, b"\x0f\x0f", b"\xf0\x0f",
-                                        coin_source(seeded(2), "deliver"),
-                                        tamper=True)
-    assert res.rejected and res.y_bob is None
-
-
-def test_output_delivery_empty_payload():
-    res = protocols.output_delivery_run(lambda x, y: (x, b""), b"a", b"",
-                                        coin_source(seeded(3), "deliver"))
-    assert not res.rejected
-    assert res.y_bob == b""

@@ -111,6 +111,8 @@ def test_keygen_relation_accepts_honest_and_rejects_tampered():
     r_b = coins.take_bytes(32)
     com_f, dec_f = commit(r_a, coins)
     kp = lattice.gen_regular(TINY, coin_source(xor_bytes(r_a, r_b), "gen"))
+    derived = lattice.gen_from_shares(TINY, r_a, r_b)
+    assert derived.public.to_bytes() == kp.public.to_bytes()
     good = (com_f, r_b, kp.public.to_bytes())
     _, verdict = zk.run_proof(rel, good, (r_a, dec_f), fresh_auth())
     assert verdict == "accept"
@@ -135,8 +137,8 @@ def test_delta_relation_all_angle_combinations():
                 for theta in (0, 3):
                     for r in (0, 1):
                         com, dec = commit(canonical_encode(phi), coins)
-                        phi_p = mbqc.compute_phi_prime(Angle8(phi), sX, sZ)
-                        delta = mbqc.compute_delta(phi_p, Angle8(theta), r)
+                        delta = mbqc.blind_delta(Angle8(phi), sX, sZ,
+                                                 Angle8(theta), r)
                         st = (int(delta), sZ, sX, com)
                         _, v = zk.run_proof(rel, st, (phi, dec, theta, r), fresh_auth())
                         assert v == "accept"
@@ -163,3 +165,10 @@ def test_sessions_and_simulations_need_an_explicit_authority():
         zk.simulate(rel, 7)
     with pytest.raises(TypeError):
         zk.run_proof(rel, 7, None)
+    # None is no authority either, caught before prove() or verify()
+    with pytest.raises(zk.ZkError):
+        zk.new_session(rel, 7, "prover", None)
+    with pytest.raises(zk.ZkError):
+        zk.new_session(rel, 7, "verifier", None)
+    with pytest.raises(zk.ZkError):
+        zk.simulate(rel, 7, None)
