@@ -187,13 +187,20 @@ class Transcript:
 
     @staticmethod
     def loads(text: str) -> "Transcript":
+        """Parse dumps() output; raises ChannelError on anything else."""
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines:
             raise ChannelError("empty transcript file")
-        header = json.loads(lines[0])
-        t = Transcript(bytes.fromhex(header.pop("session_id")), header)
-        for ln in lines[1:]:
-            t.append(unframe_message(bytes.fromhex(ln)))
+        try:
+            header = json.loads(lines[0])
+            session_id = bytes.fromhex(header.pop("session_id"))
+            frames = [bytes.fromhex(ln) for ln in lines[1:]]
+        except (AttributeError, KeyError, TypeError, ValueError):
+            raise ChannelError("a transcript file is a JSON object header with "
+                               "a hex session_id, then hex frames") from None
+        t = Transcript(session_id, header)
+        for frame in frames:
+            t.append(unframe_message(frame))
         return t
 
 

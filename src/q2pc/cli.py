@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -52,23 +53,25 @@ def named_state(name: str, width: int = 1) -> StateVector:
 
 def state_from_file(path: str, width: int) -> StateVector:
     """Amplitude list file: JSON [[re, im], ...] of length 2^width."""
-    with open(path, "r", encoding="utf-8") as fh:
-        rows = json.load(fh)
-    amps = np.array([complex(r, i) for r, i in rows])
+    try:
+        rows = json.loads(Path(path).read_text(encoding="utf-8"))
+        amps = np.array([complex(r, i) for r, i in rows], dtype=np.complex128)
+    except (TypeError, ValueError, OverflowError):
+        raise UsageError(f"input file {path} is not a JSON list of "
+                         "[re, im] number pairs") from None
     if len(amps) != 1 << width:
         raise UsageError(f"input file holds {len(amps)} amplitudes, "
                          f"need {1 << width}")
     norm = np.linalg.norm(amps)
-    if norm < 1e-12:
-        raise UsageError("input file amplitudes are all zero")
+    if not 1e-12 <= norm < np.inf:
+        raise UsageError("input file amplitudes must be finite and not all zero")
     return StateVector(width, amps / norm)
 
 
 def load_pattern(spec: str) -> mbqc.BrickworkPattern:
     """Either a JSON pattern file or a library shorthand name[:a[,b]]."""
     if spec.endswith(".json"):
-        with open(spec, "r", encoding="utf-8") as fh:
-            return mbqc.pattern_from_json(fh.read())
+        return mbqc.pattern_from_json(Path(spec).read_text(encoding="utf-8"))
     name, _, argtext = spec.partition(":")
     if name not in mbqc.PATTERN_LIBRARY:
         raise UsageError(f"unknown pattern {name!r}; library: "
@@ -97,8 +100,8 @@ def write_or_check_transcript(ep, args) -> int:
         with open(args.transcript, "w", encoding="utf-8") as fh:
             fh.write(text)
     if getattr(args, "replay", None):
-        with open(args.replay, "r", encoding="utf-8") as fh:
-            recorded = channel.Transcript.loads(fh.read())
+        recorded = channel.Transcript.loads(
+            Path(args.replay).read_text(encoding="utf-8"))
         div = channel.first_divergence(recorded, ep.transcript)
         if div is not None:
             emit({"replay": "divergent", "first_divergence_seq": div})
@@ -107,17 +110,23 @@ def write_or_check_transcript(ep, args) -> int:
     return 0
 
 
+def host_port(flag: str, value: str | None) -> tuple[str, int]:
+    host, _, port = (value or "").rpartition(":")
+    if not (host and port.isdecimal() and int(port) <= 65535):
+        raise UsageError(f"{flag} needs host:port with an integer port, "
+                         f"not {value!r}")
+    return host, int(port)
+
+
 def make_endpoint(args, sid: bytes):
     """Two-process transport from the role/listen/connect flags."""
     if args.role == "alice":
-        if not args.connect:
-            raise UsageError("--role alice needs --connect host:port")
-        host, port = args.connect.rsplit(":", 1)
-        return channel.tcp_connect(sid, "alice", host, int(port))
-    if not args.listen:
-        raise UsageError("--role bob needs --listen host:port")
-    host, port = args.listen.rsplit(":", 1)
-    return channel.tcp_listen(sid, "bob", host, int(port))
+        host, port = host_port("--role alice --connect", args.connect)
+        return channel.tcp_connect(sid, "alice", host, port)
+    if args.role == "bob":
+        host, port = host_port("--role bob --listen", args.listen)
+        return channel.tcp_listen(sid, "bob", host, port)
+    raise UsageError("--transport tcp needs --role alice or --role bob")
 
 
 # ------------------------------------------------------------ subcommands
@@ -214,7 +223,7 @@ def cmd_compile_fullsim(args) -> int:
 
 
 def cmd_zkpoqk_demo(args) -> int:
-    if not 0 <= args.witness < (1 << args.nbits):
+    if args.nbits < 0 or not 0 <= args.witness < (1 << args.nbits):
         raise UsageError("witness out of range for --nbits")
     session, _pe, _ve = compilers.zkpoqk_run(
         args.witness, args.nbits, seed_bytes(args.seed),
@@ -319,18 +328,13 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else 2
     try:
         return args.fn(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except protocols.ProtocolAbort as exc:
         print(f"abort[{exc.phase}]: {exc}", file=sys.stderr)
         return 1
-    except (protocols.ProtocolError, compilers.CompilerError,
-            harness.HarnessError, channel.ChannelError,
-            mbqc.MbqcError, zk.ZkError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    # unreadable files (missing, or not UTF-8) are usage errors too
+    except (UsageError, protocols.ProtocolError, compilers.CompilerError,
+            harness.HarnessError, channel.ChannelError, mbqc.MbqcError,
+            zk.ZkError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

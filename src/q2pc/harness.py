@@ -191,11 +191,12 @@ def backend_equivalence_experiment(profile: str | Profile = "tiny",
         W = prof.params.preimage_bits
         support = sum(1 << (W - 1 + (hx ^ hxp)) for hx, hxp in regular)
         validated = itertools.islice(
-            (pre for pre in census.values() if len(pre) == 2), validate_points)
+            (y for y, count in zip(census, census.counts.tolist()) if count == 2),
+            validate_points)
         tv = 0.0
         max_dev = 0.0
-        for pre in validated:
-            x, xp = sorted(pre, key=lambda z: z.c)
+        for y in validated:
+            x, xp = census.pair(y)
             point_tv = tv_distance(rsp.w_law_for_pair(prof.params, x, xp),
                                    rsp.w_law_dense(prof.params, x, xp))
             tv += p_y * point_tv
@@ -218,9 +219,8 @@ def backend_equivalence_experiment(profile: str | Profile = "tiny",
     counts = [dict(), dict()]
     coins = coin_source(seed, "backend-eq")
     for idx, backend in enumerate((rsp.rsp_bob_quantum, rsp.rsp_bob_shortcut)):
-        kwargs = {} if idx == 0 else {"oracle": kp}
         for t in range(trials):
-            out = backend(kp.public, coins.child(f"{idx}/{t}"), **kwargs)
+            out = backend(kp.public, coins.child(f"{idx}/{t}"))
             key = bucket(out.y)
             counts[idx][key] = counts[idx].get(key, 0) + 1
     laws = [{k: v / trials for k, v in c.items()} for c in counts]
@@ -355,7 +355,7 @@ def simulate_semi_honest_alice(b: int, s_b: int, kp: TrapdoorKeypair,
     simulated_view_law (s_b supplied by the ideal functionality)."""
     W = kp.params.preimage_bits
     if variant == "corrected":
-        out = rsp.rsp_bob_shortcut(kp.public, coins.child("transcript"), oracle=kp)
+        out = rsp.rsp_bob_shortcut(kp.public, coins.child("transcript"))
         y, w = out.y, out.w_meas
     else:
         census = lattice.image_census(kp.public)

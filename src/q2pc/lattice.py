@@ -17,18 +17,19 @@ q is a power of two so q/2 is exact.  Security-parameter realism is a
 non-goal; the profiles are sized for exact enumeration, not hardness.
 
 Everything that needs the whole image -- the public 2-regularity check,
-the simulated quantum Bob's sibling preimage, the exact transcript and
-view laws, and inversion when the gadget margin is too tight -- reads one
+both simulated Bobs' sibling preimage, the exact transcript and view laws,
+and inversion when the gadget margin is too tight -- reads one
 ImageCensus per public key: every image of the domain formed at once by
 numpy broadcasting, encoded as a base-q code and stable-sorted, so each
-image point's preimages are one run of domain indices.
+image point's preimages are one run of domain indices.  ImageCensus.pair
+is the one lookup of an image point's preimage pair.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import ItemsView, Mapping, ValuesView
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,8 +109,8 @@ class PublicKey:
     y0: np.ndarray  # length m over Z_q
 
     def to_bytes(self) -> bytes:
-        """Canonical layout: params as six u32 LE words? no -- params travel
-        separately; here K row-major then y0, 8 bytes LE per entry."""
+        """K row-major, then y0, each entry 8 bytes little-endian.  The
+        params are not included: both parties already hold them."""
         body = b"".join(int(v).to_bytes(8, "little") for v in self.K.reshape(-1))
         body += b"".join(int(v).to_bytes(8, "little") for v in self.y0)
         return body
@@ -258,21 +259,18 @@ def _decode_g(kp: TrapdoorKeypair, t: np.ndarray) -> list[tuple[tuple, tuple]]:
 def invert(kp: TrapdoorKeypair, y: np.ndarray) -> tuple[Preimage, Preimage]:
     """Both preimages of y under f_k, c=0 branch first.
 
-    Gadget decoding per (c, d) branch when its margin holds; otherwise both
-    preimages are read off the image table.  Raises NotInImageError when
-    none exist, TwoRegularityError when the count is not exactly 2
-    (boundary collision -- reported, never hidden).
+    Gadget decoding per (c, d) branch when its margin holds; otherwise the
+    pair is read off the image table (ImageCensus.pair).  Raises
+    NotInImageError when none exist, TwoRegularityError when the count is
+    not exactly 2 (boundary collision -- reported, never hidden).
     """
     p = kp.params
     y = np.asarray(y, dtype=np.int64) % p.q
-    if _gadget_margin(kp) <= p.q // 4 - 1:
-        half = _half_vector(p)
-        sols = [Preimage(s, e, c, d) for c in (0, 1) for d in (0, 1)
-                for s, e in _decode_g(kp, (y - c * kp.public.y0 - d * half) % p.q)]
-    else:
-        # the (c, d, s) order in which the per-branch decoding lists them
-        sols = sorted(image_census(kp.public).get(tuple(y.tolist()), []),
-                      key=lambda z: (z.c, z.d))
+    if _gadget_margin(kp) > p.q // 4 - 1:
+        return image_census(kp.public).pair(y)
+    half = _half_vector(p)
+    sols = [Preimage(s, e, c, d) for c in (0, 1) for d in (0, 1)
+            for s, e in _decode_g(kp, (y - c * kp.public.y0 - d * half) % p.q)]
     if not sols:
         raise NotInImageError("no preimage within the error box")
     if len(sols) != 2:
@@ -327,9 +325,10 @@ class ImageCensus(Mapping):
     is in first-seen domain order and each preimage list in domain order,
     exactly as a dict filled by walking enumerate_domain.  A lookup
     binary-searches the sorted codes, and Preimage objects are built only
-    for the points looked up.  `counts` holds each point's preimage count
-    in iteration order.  Raises LatticeError on a domain too large to
-    enumerate (codes then stay below q^m < 2^63)."""
+    for the points looked up; pair(y) is the lookup of a point's two
+    preimages.  `counts` holds each point's preimage count in iteration
+    order.  Raises LatticeError on a domain too large to enumerate (codes
+    then stay below q^m < 2^63)."""
 
     def __init__(self, pk: PublicKey):
         p = pk.params
@@ -375,6 +374,17 @@ class ImageCensus(Mapping):
             out.append(Preimage(self._s_rows[s], self._e_rows[e], cd >> 1, cd & 1))
         return out
 
+    def pair(self, y) -> tuple[Preimage, Preimage]:
+        """y's two preimages, c = 0 first.  Raises NotInImageError when y has
+        no preimage, TwoRegularityError when it has other than two."""
+        i = self._find(y)
+        if i < 0:
+            raise NotInImageError("no preimage within the error box")
+        if self._counts[i] != 2:
+            raise TwoRegularityError(int(self._counts[i]))
+        x, xp = self._preimages(i)
+        return (x, xp) if x.c <= xp.c else (xp, x)
+
     def hardcore_bits(self) -> list[tuple]:
         """Each image point's preimage hardcore bits d, in iteration order,
         each tuple in domain order: the bits of values() read off the
@@ -395,25 +405,6 @@ class ImageCensus(Mapping):
 
     def __len__(self) -> int:
         return self._codes.size
-
-    # walk the runs in order instead of looking every point up again
-    def items(self):
-        return _CensusItems(self)
-
-    def values(self):
-        return _CensusValues(self)
-
-
-class _CensusItems(ItemsView):
-    def __iter__(self):
-        census = self._mapping
-        return zip(census, map(census._preimages, census._seen.tolist()))
-
-
-class _CensusValues(ValuesView):
-    def __iter__(self):
-        census = self._mapping
-        return map(census._preimages, census._seen.tolist())
 
 
 def image_census(pk: PublicKey) -> ImageCensus:

@@ -281,11 +281,23 @@ def pattern_to_json(pattern: BrickworkPattern) -> str:
 
 
 def pattern_from_json(text: str) -> BrickworkPattern:
-    data = json.loads(text)
-    if data.get("format") != PATTERN_FORMAT_VERSION:
+    """Parse pattern_to_json output; raises MbqcError on anything else."""
+    try:
+        data = json.loads(text)
+    except ValueError:
+        raise MbqcError("pattern file is not JSON") from None
+    if not isinstance(data, dict) or data.get("format") != PATTERN_FORMAT_VERSION:
         raise MbqcError("unsupported pattern format version")
-    return BrickworkPattern(
-        data["n"], data["m"],
-        tuple(tuple(Angle8(a) for a in row) for row in data["phi"]),
-        tuple(tuple(b) for b in data.get("bridges", [])),
-        data.get("input_rows", 0))
+    n, m, phi = data.get("n"), data.get("m"), data.get("phi")
+    bridges, input_rows = data.get("bridges", []), data.get("input_rows", 0)
+    if not (_int_rows([[n, m, input_rows]]) and _int_rows(phi) and _int_rows(bridges)
+            and all(len(b) == 2 for b in bridges)):
+        raise MbqcError("a pattern needs integers n, m and input_rows, integer "
+                        "angle rows phi and [row, column] bridges")
+    return BrickworkPattern(n, m, phi, bridges, input_rows)
+
+
+def _int_rows(value) -> bool:
+    """A list of lists of JSON integers (booleans excluded)."""
+    return isinstance(value, list) and all(
+        isinstance(row, list) and all(type(v) is int for v in row) for row in value)

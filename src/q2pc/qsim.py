@@ -1,7 +1,7 @@
 """Minimal quantum simulation backend.
 
-Dense statevector for small circuits plus a sparse two-term superposition
-type used for the remote-state-preparation preimage register.
+Dense statevector for small circuits, with one measurement kernel for
+sampled and exact measurements.
 
 Conventions (used everywhere, never redeclared):
   * qubit indices are little-endian: qubit q is bit q of the amplitude
@@ -111,34 +111,6 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
     """Tensor product; b's qubits become the high-index qubits."""
     amps = np.kron(b.amplitudes, a.amplitudes)
     return StateVector(a.num_qubits + b.num_qubits, amps)
-
-
-@dataclass(frozen=True)
-class TwoTermState:
-    """(|basis_a> + relative_phase * |basis_b>)/sqrt(2), exactly."""
-
-    bit_width: int
-    basis_a: int
-    basis_b: int
-    relative_phase: complex
-
-    def __post_init__(self):
-        if self.basis_a == self.basis_b:
-            raise QsimError("two-term basis states must differ")
-        for b in (self.basis_a, self.basis_b):
-            if not (0 <= b < (1 << self.bit_width)):
-                raise QsimError("basis index exceeds bit width")
-        if abs(abs(self.relative_phase) - 1.0) > 1e-12:
-            raise QsimError("relative phase must be unit modulus")
-
-
-def two_term_to_dense(t: TwoTermState) -> StateVector:
-    if t.bit_width > MAX_DENSE_QUBITS:
-        raise QsimError("two-term state too wide for dense conversion")
-    amps = np.zeros(1 << t.bit_width, dtype=np.complex128)
-    amps[t.basis_a] = 1.0 / math.sqrt(2)
-    amps[t.basis_b] = t.relative_phase / math.sqrt(2)
-    return StateVector(t.bit_width, amps)
 
 
 # -------------------------------------------------------------------- gates

@@ -40,6 +40,7 @@ coin u's parity; only the two pi/2-unit bits are hidden.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +49,7 @@ from . import lattice, qsim
 from .lattice import (LatticeParams, NotInImageError, Preimage, PublicKey,
                       TrapdoorKeypair, TwoRegularityError)
 from .primitives import CoinSource
-from .qsim import Angle8, StateVector, TwoTermState
+from .qsim import Angle8, StateVector
 
 _MAX_RESAMPLES = 10000
 
@@ -86,35 +87,34 @@ def sample_domain_point(params: LatticeParams, coins: CoinSource) -> Preimage:
     return Preimage(s, e, coins.bit(), coins.bit())
 
 
-def _pair_from_census(pk: PublicKey, y: tuple) -> tuple[Preimage, Preimage]:
-    pre = lattice.image_census(pk).get(y, [])
-    if len(pre) != 2:
-        raise TwoRegularityError(len(pre))
-    a, b = sorted(pre, key=lambda z: z.c)
-    return a, b
-
-
-def _sample_image_pair(pk: PublicKey, coins: CoinSource,
-                       oracle: TrapdoorKeypair | None):
-    """Uniform regular image point with both preimages; collisions counted.
-
-    The sibling preimage comes from the trapdoor when an oracle is supplied
-    (testing plumbing), else from the public key's image table (enumerable
-    domains only)."""
+def _sample_image_pair(pk: PublicKey, coins: CoinSource):
+    """Uniform regular image point with both preimages, read off the public
+    key's image table (enumerable domains only); collisions counted."""
+    census = lattice.image_census(pk)
     resamples = 0
     while True:
         z = sample_domain_point(pk.params, coins)
         y = tuple(int(v) for v in lattice.eval_f(pk, z))
         try:
-            if oracle is not None:
-                x, xp = lattice.invert(oracle, np.array(y, dtype=np.int64))
-            else:
-                x, xp = _pair_from_census(pk, y)
+            x, xp = census.pair(y)
             return y, x, xp, resamples
         except TwoRegularityError:
             resamples += 1
             if resamples > _MAX_RESAMPLES:
                 raise RspError("boundary collisions exhausted resample budget")
+
+
+def _preimage_register(params: LatticeParams, x: Preimage,
+                       xp: Preimage) -> StateVector:
+    """The post-collapse register (|enc(x)>|h(x)> + |enc(x')>|h(x')>)/sqrt(2):
+    W preimage qubits, then the hardcore qubit."""
+    W = params.preimage_bits
+    if W + 1 > qsim.MAX_DENSE_QUBITS:
+        raise RspError("preimage register exceeds dense budget")
+    amps = np.zeros(1 << (W + 1), dtype=np.complex128)
+    for z in (x, xp):
+        amps[lattice.encode(params, z) | (lattice.hardcore(z) << W)] = 1.0 / math.sqrt(2)
+    return StateVector(W + 1, amps)
 
 
 def _inner_parity(w_int: int, delta: int) -> int:
@@ -139,21 +139,12 @@ def rsp_bob_quantum(pk: PublicKey, coins: CoinSource,
     """Quantum Bob: holds the two-term superposition densely and measures it.
 
     Needs the sibling preimage to build the post-collapse state, so it
-    looks y up in the public key's image table (lattice.image_census);
-    enumerable domains only.  raw=True stops before the final H Rz(-pi/2)
-    (8-state second run)."""
-    p = pk.params
-    y, x, xp, resamples = _sample_image_pair(pk, coins, None)
-    W = p.preimage_bits
-    if W + 1 > qsim.MAX_DENSE_QUBITS:
-        raise RspError("preimage register exceeds dense budget")
-    ex, exp_ = lattice.encode(p, x), lattice.encode(p, xp)
-    two = TwoTermState(W + 1,
-                       ex | (lattice.hardcore(x) << W),
-                       exp_ | (lattice.hardcore(xp) << W), 1.0)
-    state = qsim.two_term_to_dense(two)
+    looks y up in the public key's image table; enumerable domains only.
+    raw=True stops before the final H Rz(-pi/2) (8-state second run)."""
+    y, x, xp, resamples = _sample_image_pair(pk, coins)
+    state = _preimage_register(pk.params, x, xp)
     w = []
-    for _ in range(W):
+    for _ in range(pk.params.preimage_bits):
         # measured qubit is removed, so the register front stays at index 0
         bit, state = qsim.measure(state, 0, Angle8(0), coins)
         w.append(bit)
@@ -162,12 +153,13 @@ def rsp_bob_quantum(pk: PublicKey, coins: CoinSource,
     return RspBobOutput(state, y, tuple(w), resamples)
 
 
-def rsp_bob_shortcut(pk: PublicKey, coins: CoinSource, raw: bool = False,
-                     oracle: TrapdoorKeypair | None = None) -> RspBobOutput:
+def rsp_bob_shortcut(pk: PublicKey, coins: CoinSource,
+                     raw: bool = False) -> RspBobOutput:
     """Classical Bob stand-in: samples the honest transcript law and
-    reconstructs the held qubit analytically from the preimage pair."""
+    reconstructs the held qubit analytically from the preimage pair, read
+    off the public key's image table like quantum Bob's."""
     p = pk.params
-    y, x, xp, resamples = _sample_image_pair(pk, coins, oracle)
+    y, x, xp, resamples = _sample_image_pair(pk, coins)
     W = p.preimage_bits
     delta = lattice.encode(p, x) ^ lattice.encode(p, xp)
     hx, hxp = lattice.hardcore(x), lattice.hardcore(xp)
@@ -219,11 +211,7 @@ def w_law_dense(params: LatticeParams, x: Preimage, xp: Preimage) -> dict:
     """Oracle for w_law_for_pair: dense branch enumeration of the +/- basis
     measurements on the two-term state, {w_int: prob}."""
     W = params.preimage_bits
-    two = TwoTermState(W + 1,
-                       lattice.encode(params, x) | (lattice.hardcore(x) << W),
-                       lattice.encode(params, xp) | (lattice.hardcore(xp) << W),
-                       1.0)
-    amps = qsim.two_term_to_dense(two).amplitudes.reshape(1, -1)
+    amps = _preimage_register(params, x, xp).amplitudes.reshape(1, -1)
     history = np.zeros(1, dtype=np.int64)
     for _ in range(W):
         # measured qubit is removed, so the register front stays at index 0
@@ -235,21 +223,16 @@ def w_law_dense(params: LatticeParams, x: Preimage, xp: Preimage) -> dict:
     return dict(zip(w_ints.tolist(), probs.tolist()))
 
 
-def transcript_law(pk: PublicKey) -> dict:
-    """Exact honest-run law of the rsp.meas message, {(y, w_int): prob}.
-
-    Per-image-point decomposition: y is uniform over the 2-regular part of
-    the image, w follows w_law_for_pair.  Both backends sample exactly this
-    law; enumerable domains only."""
+def transcript_law(pk: PublicKey) -> list[tuple]:
+    """Exact honest-run law of the rsp.meas message, per image point:
+    [(y, p_y, x, x')] over the 2-regular part of the image, in first-seen
+    order, with y uniform (p_y) and w given y following
+    w_law_for_pair(params, x, x').  Both backends sample exactly this law;
+    enumerable domains only."""
     census = lattice.image_census(pk)
-    regular = {y: pre for y, pre in census.items() if len(pre) == 2}
-    law = {}
-    py = 1.0 / len(regular)
-    for y, pre in regular.items():
-        x, xp = sorted(pre, key=lambda z: z.c)
-        for w, p in w_law_for_pair(pk.params, x, xp).items():
-            law[(y, w)] = py * p
-    return law
+    regular = [y for y, count in zip(census, census.counts.tolist()) if count == 2]
+    p_y = 1.0 / len(regular)
+    return [(y, p_y, *census.pair(y)) for y in regular]
 
 
 # ------------------------------------------------------ 8-state composition
@@ -259,7 +242,6 @@ class Rsp8BobOutput:
     state: StateVector
     u: Angle8
     t: int
-    runs: tuple   # (RspBobOutput full, RspBobOutput raw)
 
 
 def bob_merge(q_full: StateVector, q_raw: StateVector,
@@ -291,4 +273,4 @@ def rsp8_local(kp: TrapdoorKeypair, kp2: TrapdoorKeypair, coins: CoinSource,
     second = rsp_alice_decode(kp2, run2.y, run2.w_meas)
     state, u, t = bob_merge(run1.state, run2.state, coins.child("merge"))
     theta = alice_merge_theta(first, second, u, t)
-    return theta, Rsp8BobOutput(state, u, t, (run1, run2))
+    return theta, Rsp8BobOutput(state, u, t)

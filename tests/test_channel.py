@@ -201,8 +201,15 @@ def test_first_divergence_reported():
 
 
 def test_empty_transcript_file_rejected():
-    with pytest.raises(channel.ChannelError):
-        Transcript.loads("")
+    for text in ("",
+                 "not json\n",
+                 "[1, 2]\n",                      # header not an object
+                 '{"meta": 1}\n',                 # no session_id
+                 '{"session_id": 7}\n',
+                 '{"session_id": "zz"}\n',
+                 '{"session_id": "00"}\nnot-hex\n'):
+        with pytest.raises(channel.ChannelError):
+            Transcript.loads(text)
 
 
 def test_length_divergence_reported():

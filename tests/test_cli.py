@@ -1,10 +1,14 @@
 """Command-line interface: exit codes, deterministic output, transcript
 capture and replay, both transports."""
 
+import argparse
 import json
+import socket
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from q2pc import cli
 
@@ -45,6 +49,15 @@ def test_q2pc_run_pattern_file(tmp_path, capsys):
                     "--input", "one", "--seed", "2")
     assert code == 0
     assert json.loads(out)["output"] == [1]
+    for bad in ("{not json", "[1, 2]", '{"format": 1}',
+                '{"format": 1, "n": "1", "m": 1, "phi": [[0]]}',
+                '{"format": 1, "n": 1, "m": 1, "phi": [["a"]]}',
+                '{"format": 1, "n": 1, "m": 1, "phi": 0}',
+                '{"format": 1, "n": 1, "m": 1, "phi": [[0]], "bridges": [0]}'):
+        path.write_text(bad)
+        assert cli.main(["q2pc", "run", "--pattern", str(path)]) == 2
+    path.write_bytes(b"\xff\xfe")
+    assert cli.main(["q2pc", "run", "--pattern", str(path)]) == 2
 
 
 def test_experiment_reports(tmp_path, capsys):
@@ -94,6 +107,7 @@ def test_zkpoqk_demo_extracts(capsys):
                     "--witness", "11")
     assert code == 0
     assert json.loads(out)["extracted"] == 11
+    assert cli.main(["zkpoqk", "demo", "--nbits", "-1"]) == 2
 
 
 def test_unknown_flag_exit_2(capsys):
@@ -121,8 +135,12 @@ def test_missing_subcommand_exit_2(capsys):
 
 
 def test_tcp_needs_peer_flags(capsys):
-    assert cli.main(["oqfe", "run", "--transport", "tcp",
-                     "--role", "alice"]) == 2
+    tcp = ["oqfe", "run", "--transport", "tcp"]
+    assert cli.main(tcp + ["--role", "alice"]) == 2
+    for value in ("nohost", "127.0.0.1:", "127.0.0.1:x", "127.0.0.1:70000",
+                  "127.0.0.1:-1"):
+        assert cli.main(tcp + ["--role", "alice", "--connect", value]) == 2
+        assert cli.main(tcp + ["--role", "bob", "--listen", value]) == 2
 
 
 def test_malicious_mode_rejected_on_tcp(capsys):
@@ -136,6 +154,13 @@ def test_input_file(tmp_path, capsys):
     code, out = run(capsys, "oqfe", "run", "--b", "0",
                     "--input-file", str(path), "--seed", "8")
     assert code == 0
+    for bad in ("[[0.6, 0.0], [0.48", '{"re": 1}', "[[1, 0, 0], [0, 0]]",
+                '[["1", 0], [0, 0]]', "[[1e999, 0], [0, 0]]", "[[NaN, 0], [0, 0]]",
+                "[[1" + "0" * 400 + ", 0], [0, 0]]", "7"):
+        path.write_text(bad)
+        assert cli.main(["oqfe", "run", "--input-file", str(path)]) == 2, bad
+    path.write_bytes(b"\xff\xfe")
+    assert cli.main(["oqfe", "run", "--input-file", str(path)]) == 2
 
 
 def test_stdout_is_deterministic(capsys):
@@ -154,6 +179,8 @@ def test_transcript_capture_and_replay(tmp_path, capsys):
     code, out = run(capsys, *argv, "--replay", str(path))
     assert code == 0
     assert json.loads(out.splitlines()[-1]) == {"replay": "identical"}
+    path.write_text("not a transcript\n")
+    assert cli.main(argv + ["--replay", str(path)]) == 2
 
 
 def test_replay_divergence_detected(tmp_path, capsys):
@@ -190,3 +217,82 @@ def test_tcp_transport_roundtrip(capsys):
         time.sleep(0.1)
     th.join()
     assert code == 0 and results["bob"] == 0
+
+
+# ------------------------------------------------------ argv fuzzing
+
+def _leaf_commands(parser, prefix=()):
+    """(argv prefix, positionals, optionals) of every runnable subcommand."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _leaf_commands(sub, prefix + (name,))
+            return
+    actions = [a for a in parser._actions if not isinstance(a, argparse._HelpAction)]
+    yield (prefix, [a for a in actions if not a.option_strings],
+           [a for a in actions if a.option_strings])
+
+
+def _closed_local_port() -> int:
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+@pytest.fixture(scope="module")
+def fuzz_values(tmp_path_factory):
+    """Malformed values by destination; any other flag draws from its
+    parser choices, or small ints for an int flag."""
+    tmp = tmp_path_factory.mktemp("fuzz")
+    (tmp / "garbage.json").write_text("{not json")
+    (tmp / "object.json").write_text('{"format": 1, "n": [1]}')
+    (tmp / "binary.json").write_bytes(b"\xff\xfe\x00")
+    files = [str(tmp / name) for name in
+             ("garbage.json", "object.json", "binary.json", "missing.json")]
+    # a well-formed --listen would block in accept, so listen values are
+    # never well-formed; connect reaches only a closed local port
+    bad_peers = ["nohost", "127.0.0.1:", "127.0.0.1:x", ":1", "127.0.0.1:70000"]
+    return {
+        "pattern": files + ["identity", "brick:1,3", "nope", "brick:x", ""],
+        "replay": files,
+        "input_file": files,
+        "connect": bad_peers + [f"127.0.0.1:{_closed_local_port()}"],
+        "listen": bad_peers,
+        "transcript": [str(tmp / "out.ndjson"), str(tmp)],
+        "out": [str(tmp / "report.json"), str(tmp)],
+        "seed": ["0", "demo", ""],
+    }
+
+
+def _value(draw, action, values):
+    if action.dest in values:
+        return draw(st.sampled_from(values[action.dest]))
+    if action.choices is not None:
+        return draw(st.sampled_from([str(c) for c in action.choices] + ["bogus"]))
+    if action.type is int:
+        return draw(st.sampled_from([str(i) for i in range(-2, 13)] + ["x"]))
+    raise AssertionError(f"no fuzz values for {action.dest}")
+
+
+@st.composite
+def cli_argv(draw, values):
+    prefix, positionals, optionals = draw(st.sampled_from(
+        list(_leaf_commands(cli.build_parser()))))
+    argv = list(prefix) + [_value(draw, a, values) for a in positionals]
+    for action in optionals:
+        # the extractor's default 100 trials would take about a second
+        forced = action.dest == "trials" and "extractor" in argv
+        if forced or draw(st.booleans()):
+            argv.append(action.option_strings[0])
+            if action.nargs != 0:
+                argv.append(_value(draw, action, values))
+    if draw(st.booleans()):
+        argv.insert(draw(st.integers(0, len(argv))), "--bogus")
+    return argv
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_cli_fails_closed_on_any_argv(fuzz_values, data):
+    argv = data.draw(cli_argv(fuzz_values), label="argv")
+    assert cli.main(argv) in (0, 1, 2)

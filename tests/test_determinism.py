@@ -30,12 +30,19 @@ CLI_DIGESTS = [
     # the exact blinded law's floats, at the angles and masks of a real run
     (["experiment", "q2pc-correctness", "--pattern", "brick:1,3", "--seed", "demo"],
      "29391963f840dd895f5ad67ebe581448d091b8b2caedbec59e660d9866c38c47"),
+    # both RSP backends' samplers, binned
+    (["experiment", "backend-eq", "--trials", "150", "--seed", "demo"],
+     "6115f379ef99255c32acff74cacb9438ab7ce6a246adab6880356ec6629be5ad"),
+    # the dense w-law enumeration's floats on the validated points
+    (["experiment", "backend-eq", "--seed", "demo"],
+     "5b55ba086207b463e72ea89c9ae76c9d952a5236f30e63f74d3ba4789ef93b5e"),
 ]
 
 
 @pytest.mark.parametrize("argv, digest", CLI_DIGESTS,
                          ids=["q2pc-brick", "oqfe-sh", "oqfe-mal", "compile-fullsim",
-                              "q2pc-correctness"])
+                              "q2pc-correctness", "backend-eq-sampled",
+                              "backend-eq-exact"])
 def test_cli_output_is_pinned(argv, digest, tmp_path, capsys):
     path = tmp_path / "transcript.json"
     extra = ([] if argv[0] in ("compile", "experiment")

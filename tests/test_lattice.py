@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -228,8 +229,21 @@ def test_image_table_matches_the_loop_census(seed):
     assert table.hardcore_bits() == [tuple(z.d for z in pres) for pres in oracle.values()]
     for y in list(oracle)[:20]:
         assert y in table and table[y] == oracle[y]
-    for miss in ((TINY.q,) + (0,) * (TINY.m - 1), (0,) * (TINY.m + 1)):
+    # pair: the c-ordered pair on count-2 points, the count elsewhere
+    for y, pres in oracle.items():
+        if len(pres) == 2:
+            assert table.pair(y) == tuple(sorted(pres, key=lambda z: z.c))
+        else:
+            with pytest.raises(lat.TwoRegularityError) as err:
+                table.pair(y)
+            assert err.value.count == len(pres)
+    unhit = next(y for y in itertools.product(range(TINY.q), repeat=TINY.m)
+                 if y not in oracle)
+    for miss in ((TINY.q,) + (0,) * (TINY.m - 1), (0,) * (TINY.m + 1), unhit):
         assert miss not in table and table.get(miss) is None
+        with pytest.raises(lat.NotInImageError) as err:
+            table.pair(miss)
+        assert type(err.value) is lat.NotInImageError
     hist = {}
     for pres in oracle.values():
         hist[len(pres)] = hist.get(len(pres), 0) + 1

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from q2pc import primitives as pr
 from q2pc import qsim
-from q2pc.qsim import (Angle8, StateVector, TwoTermState, apply_gate, basis_state,
+from q2pc.qsim import (Angle8, StateVector, apply_gate, basis_state,
                        enumerate_branches, make_state, measure, plus_state,
-                       tensor, two_term_to_dense)
+                       tensor)
 
 SEED = b"\x02" * 32
 
@@ -259,21 +259,6 @@ def test_enumerate_branches_rejects_unknown_qubits_and_bases():
     with pytest.raises(qsim.QsimError):
         qsim.split_branches(plus_state().amplitudes.reshape(1, -1),
                             np.zeros(1, dtype=np.int64), 0, "Y")
-
-
-def test_two_term_dense():
-    assert qsim.overlap(two_term_to_dense(TwoTermState(1, 0, 1, 1.0)), plus_state()) > 1 - 1e-12
-    dense = two_term_to_dense(TwoTermState(2, 0b00, 0b11, -1.0))
-    assert np.allclose(dense.amplitudes, np.array([1, 0, 0, -1]) / math.sqrt(2))
-
-
-def test_two_term_validation():
-    with pytest.raises(qsim.QsimError):
-        TwoTermState(2, 1, 1, 1.0)
-    with pytest.raises(qsim.QsimError):
-        TwoTermState(1, 0, 1, 2.0)
-    with pytest.raises(qsim.QsimError):
-        TwoTermState(1, 0, 2, 1.0)
 
 
 def test_qubit_budget():
