@@ -22,11 +22,14 @@ and inversion when the gadget margin is too tight -- reads one
 ImageCensus per public key: every image of the domain formed at once by
 numpy broadcasting, encoded as a base-q code and stable-sorted, so each
 image point's preimages are one run of domain indices.  ImageCensus.pair
-is the one lookup of an image point's preimage pair.
+is the one lookup of an image point's preimage pair.  image_census shares
+one read-only table per distinct key across the process (an LRU of the 16
+most recently used keys), so a session builds each key's table once.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections.abc import Mapping
@@ -38,6 +41,8 @@ from .primitives import CoinSource, coin_source, xor_bytes
 
 # the largest domain an ImageCensus enumerates
 _MAX_DOMAIN = 1 << 20
+# the image tables image_census keeps, least recently used dropped first
+_CENSUS_CACHE_SIZE = 16
 
 
 class LatticeError(Exception):
@@ -117,13 +122,18 @@ class PublicKey:
 
     @staticmethod
     def from_bytes(params: LatticeParams, data: bytes) -> "PublicKey":
+        """The inverse of to_bytes.  Raises LatticeError unless data is
+        bytes of the exact length with every word reduced mod q, so a peer's
+        key is either canonical or refused."""
         count = params.m * params.n + params.m
-        if len(data) != 8 * count:
-            raise LatticeError("public key byte length mismatch")
-        vals = [int.from_bytes(data[8 * i:8 * i + 8], "little") for i in range(count)]
-        K = np.array(vals[:params.m * params.n], dtype=np.int64).reshape(params.m, params.n)
-        y0 = np.array(vals[params.m * params.n:], dtype=np.int64)
-        return PublicKey(params, K, y0)
+        if not isinstance(data, bytes) or len(data) != 8 * count:
+            raise LatticeError("public key is not bytes of the expected length")
+        words = np.frombuffer(data, "<u8")
+        if np.any(words >= params.q):
+            raise LatticeError("public key entry not reduced mod q")
+        words = words.astype(np.int64)
+        K = words[:params.m * params.n].reshape(params.m, params.n)
+        return PublicKey(params, K, words[params.m * params.n:])
 
 
 @dataclass(frozen=True)
@@ -314,6 +324,36 @@ def _box(dim: int, lo: int, hi: int) -> np.ndarray:
     return np.indices((side,) * dim, dtype=np.int64).reshape(dim, -1).T + lo
 
 
+def _read_only(*arrays: np.ndarray) -> None:
+    for a in arrays:
+        a.flags.writeable = False
+
+
+@dataclass(frozen=True)
+class _DomainTables:
+    """The key-independent parts of every ImageCensus of one LatticeParams."""
+    S: np.ndarray        # Z_q^n as rows
+    E: np.ndarray        # the error box as rows
+    s_rows: list
+    e_rows: list
+    half: np.ndarray     # (q/2, 0, ..., 0)
+    weights: np.ndarray  # q^i, the base-q code of an image point
+    code_dtype: type     # the smallest of int16/int32/int64 holding q^m
+
+
+@functools.lru_cache(maxsize=_CENSUS_CACHE_SIZE)
+def _domain_tables(p: LatticeParams) -> _DomainTables:
+    S = _box(p.n, 0, p.q - 1)
+    E = _box(p.m, -p.sigma, p.sigma)
+    half = _half_vector(p)
+    weights = p.q ** np.arange(p.m, dtype=np.int64)
+    _read_only(S, E, half, weights)
+    code_dtype = next(t for t in (np.int16, np.int32, np.int64)
+                      if p.q ** p.m <= np.iinfo(t).max)
+    return _DomainTables(S, E, list(map(tuple, S.tolist())),
+                         list(map(tuple, E.tolist())), half, weights, code_dtype)
+
+
 class ImageCensus(Mapping):
     """Read-only exact image table of f_k: image point -> preimage list.
 
@@ -328,32 +368,37 @@ class ImageCensus(Mapping):
     for the points looked up; pair(y) is the lookup of a point's two
     preimages.  `counts` holds each point's preimage count in iteration
     order.  Raises LatticeError on a domain too large to enumerate (codes
-    then stay below q^m < 2^63)."""
+    then stay below q^m < 2^63).
+
+    The codes are held in the smallest of int16, int32 and int64 that holds
+    q^m, so the stable sort is numpy's radix sort where q^m fits 16 bits
+    (tiny: 8^4 = 4096).  One table serves every caller holding its key (see
+    image_census), so `counts` and every internal array are read-only."""
 
     def __init__(self, pk: PublicKey):
         p = pk.params
         if p.domain_size > _MAX_DOMAIN:
             raise LatticeError("domain too large to enumerate")
         self._params = p
-        S = _box(p.n, 0, p.q - 1)
-        E = _box(p.m, -p.sigma, p.sigma)
-        half = _half_vector(p)
-        shifts = np.array([c * pk.y0 + d * half for c in (0, 1) for d in (0, 1)])
-        images = ((S @ pk.K.T)[:, None, None, :] + E[None, :, None, :]
-                  + shifts[None, None, :, :]) % p.q
-        self._s_rows = list(map(tuple, S.tolist()))
-        self._e_rows = list(map(tuple, E.tolist()))
-        self._images = images.reshape(-1, p.m)
-        self._weights = p.q ** np.arange(p.m, dtype=np.int64)
-        codes = self._images @ self._weights
+        t = _domain_tables(p)
+        shifts = np.array([c * pk.y0 + d * t.half for c in (0, 1) for d in (0, 1)])
+        # q is a power of two, so & (q - 1) is the reduction mod q
+        images = ((t.S @ pk.K.T)[:, None, None, :] + t.E[None, :, None, :]
+                  + shifts[None, None, :, :]) & (p.q - 1)
+        self._s_rows, self._e_rows = t.s_rows, t.e_rows
+        self._weights = t.weights
+        codes = (images.reshape(-1, p.m) @ self._weights).astype(t.code_dtype)
         self._order = np.argsort(codes, kind="stable")
         sorted_codes = codes[self._order]
-        self._starts = np.flatnonzero(np.r_[True, sorted_codes[1:] != sorted_codes[:-1]])
+        self._starts = np.flatnonzero(
+            np.concatenate(([True], sorted_codes[1:] != sorted_codes[:-1])))
         self._codes = sorted_codes[self._starts]
-        self._counts = np.diff(np.r_[self._starts, codes.size])
+        self._counts = np.diff(self._starts, append=codes.size)
         # code-order point indices, by the domain index each is first seen at
-        self._seen = np.argsort(self._order[self._starts])
+        self._seen = np.argsort(self._order[self._starts], kind="stable")
         self.counts = self._counts[self._seen]
+        _read_only(self._order, self._starts, self._codes, self._counts,
+                   self._seen, self.counts)
 
     def _find(self, y) -> int:
         """Code-order index of image point y, or -1 when y is not an image."""
@@ -400,20 +445,37 @@ class ImageCensus(Mapping):
         return self._preimages(i)
 
     def __iter__(self):
-        firsts = self._order[self._starts[self._seen]]
-        return map(tuple, self._images[firsts].tolist())
+        # each point's base-q digits, decoded from its code
+        codes = self._codes[self._seen].astype(np.int64)
+        return map(tuple, (codes[:, None] // self._weights % self._params.q).tolist())
 
     def __len__(self) -> int:
         return self._codes.size
+
+
+@functools.lru_cache(maxsize=_CENSUS_CACHE_SIZE)
+def _shared_census(params: LatticeParams, K: bytes, y0: bytes) -> ImageCensus:
+    return ImageCensus(PublicKey(params,
+                                 np.frombuffer(K, np.int64).reshape(params.m, params.n),
+                                 np.frombuffer(y0, np.int64)))
 
 
 def image_census(pk: PublicKey) -> ImageCensus:
     """The exact image table of pk (see ImageCensus): every image point in
     first-seen domain order, mapped to its preimages in domain order.
 
-    This is simulation plumbing, not a trapdoor: it only needs the public
-    key, and the domain must be small enough to walk."""
-    return ImageCensus(pk)
+    One read-only table is shared per distinct key (params, K, y0) across
+    the process: the 16 most recently used are kept, and
+    image_census.cache_info() reports the hits and misses.  A key decoded
+    by PublicKey.from_bytes gets the same table as the key it was encoded
+    from.  This is simulation plumbing, not a trapdoor: it only needs the
+    public key, and the domain must be small enough to walk."""
+    return _shared_census(pk.params, pk.K.astype(np.int64, copy=False).tobytes(),
+                          pk.y0.astype(np.int64, copy=False).tobytes())
+
+
+image_census.cache_info = _shared_census.cache_info
+image_census.cache_clear = _shared_census.cache_clear
 
 
 def two_regularity_report(pk: PublicKey) -> dict:

@@ -170,7 +170,10 @@ def oqfe_sh_alice(ep: Endpoint, b: int, params: LatticeParams,
 
 def oqfe_sh_bob(ep: Endpoint, psi_in: StateVector, params: LatticeParams,
                 coins: CoinSource, backend=rsp.rsp_bob_quantum) -> OqfeBobView:
-    pk = lattice.PublicKey.from_bytes(params, ep.expect("rsp.key").value())
+    try:
+        pk = lattice.PublicKey.from_bytes(params, ep.expect("rsp.key").value())
+    except lattice.LatticeError:
+        raise ProtocolAbort("rsp", None, "malformed public key") from None
     return _oqfe_bob_steps(ep, OqfeBobView(), pk, psi_in, coins, backend)
 
 
@@ -407,7 +410,8 @@ def q2pc_bob(ep: Endpoint, psi_in: StateVector, params: LatticeParams,
 def run_pair(alice_fn, bob_fn, session_id: bytes):
     """Run the two party functions over an in-process channel, Bob on a
     worker thread; returns (alice_result, bob_result, alice_ep, bob_ep).
-    A ProtocolAbort on either side is re-raised in the caller."""
+    A ProtocolAbort on either side is re-raised in the caller.  Alice's end
+    is closed once she returns, so Bob never outwaits her."""
     a_ep, b_ep = channel.inproc_pair(session_id)
     box: dict = {}
 
@@ -434,6 +438,9 @@ def run_pair(alice_fn, bob_fn, session_id: bytes):
                 and isinstance(box.get("bob_exc"), ProtocolError)):
             raise box["bob_exc"]
         raise
+    # Alice is done: a Bob still waiting for a message gets PeerClosedError
+    # once every message she sent is read, instead of waiting forever
+    a_ep.close()
     th.join()
     if "bob_exc" in box:
         raise box["bob_exc"]

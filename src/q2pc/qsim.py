@@ -200,16 +200,21 @@ def split_branches(amps: np.ndarray, history: np.ndarray, qubit: int,
     if isinstance(basis, str):
         if basis != "Z":
             raise QsimError(f"unknown basis {basis!r}")
-        pair = (lo, hi)
+        children = np.stack((lo, hi), axis=1)
     else:
         angle = np.asarray(basis, dtype=np.int64) % 8
         hi = hi * np.exp(-0.25j * math.pi * angle).reshape(-1, 1, 1)
-        pair = ((lo + hi) / math.sqrt(2), (lo - hi) / math.sqrt(2))
-    children = np.stack(pair, axis=1).reshape(2 * rows, width >> 1)
+        children = np.empty((rows, 2) + lo.shape[1:], dtype=hi.dtype)
+        np.add(lo, hi, out=children[:, 0])
+        np.subtract(lo, hi, out=children[:, 1])
+        np.divide(children, math.sqrt(2), out=children)
+    children = children.reshape(2 * rows, width >> 1)
     weights = (children.real ** 2 + children.imag ** 2).sum(axis=1)
     parent = weights.reshape(rows, 2).sum(axis=1)
     keep = weights >= _DEGENERATE_TOL * np.repeat(parent, 2)
     history = (np.repeat(history, 2) << 1) | np.tile((0, 1), rows)
+    if keep.all():
+        return children, history
     return children[keep], history[keep]
 
 

@@ -294,3 +294,41 @@ def test_image_table_refuses_a_domain_too_large_to_enumerate():
         lat.image_census(kp.public)
     with pytest.raises(lat.LatticeError, match="too large to enumerate"):
         lat.gen_regular(SMALL, pr.coin_source(SEED, "gen"))
+
+
+# ------------------------------------------------- the shared image tables
+
+def test_image_census_is_shared_per_key_across_a_byte_roundtrip():
+    pk = lat.gen_regular(TINY, pr.coin_source(SEED, "gen")).public
+    copy = lat.PublicKey.from_bytes(TINY, pk.to_bytes())
+    assert copy is not pk
+    assert lat.image_census(copy) is lat.image_census(pk)
+
+
+def test_image_census_arrays_are_read_only():
+    census = lat.image_census(keypair().public)
+    with pytest.raises(ValueError):
+        census.counts[0] = 5
+    assert not any(a.flags.writeable for a in vars(census).values()
+                   if isinstance(a, np.ndarray))
+
+
+def test_image_census_cache_is_bounded():
+    for i in range(20):
+        lat.image_census(keypair(bytes([i + 40]) * 32).public)
+        assert lat.image_census.cache_info().currsize <= 16
+    assert lat.image_census.cache_info().currsize == 16
+
+
+KEY_WORDS = TINY.m * TINY.n + TINY.m
+MALFORMED_KEYS = {
+    "word-over-int64": b"\xff" * (8 * KEY_WORDS),
+    "not-bytes": 7,
+    "words-not-reduced": (9).to_bytes(8, "little") * KEY_WORDS,
+}
+
+
+@pytest.mark.parametrize("payload", MALFORMED_KEYS.values(), ids=MALFORMED_KEYS.keys())
+def test_public_key_from_bytes_refuses_malformed_payloads(payload):
+    with pytest.raises(lat.LatticeError):
+        lat.PublicKey.from_bytes(TINY, payload)

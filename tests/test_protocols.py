@@ -330,3 +330,81 @@ def test_run_pair_fails_closed_on_unexpected_alice_error():
     assert not driver.is_alive(), "run_pair left Bob blocked"
     assert str(outcome["exc"]) == "injected"
     assert not bob_threads[0].is_alive()
+
+
+def test_run_pair_releases_bob_when_alice_returns_early():
+    # Alice sends her key, reads Bob's RSP report and returns without ever
+    # sending delta: Bob must see the closed channel, not wait forever
+    alice_eps, bob_threads, outcome = [], [], {}
+
+    def alice(ep):
+        alice_eps.append(ep)
+        kp = lattice.gen_regular(TINY, coin_source(seeded(5), "gen"))
+        ep.send("rsp.key", kp.public.to_bytes())
+        ep.expect("rsp.meas")
+
+    def bob(ep):
+        bob_threads.append(threading.current_thread())
+        return protocols.oqfe_sh_bob(ep, INPUTS["plus"], TINY,
+                                     coin_source(seeded(5), "bob"), rsp.rsp_bob_shortcut)
+
+    def drive():
+        try:
+            protocols.run_pair(alice, bob, bytes(16))
+        except channel.PeerClosedError as exc:
+            outcome["exc"] = exc
+
+    driver = threading.Thread(target=drive, daemon=True)
+    driver.start()
+    driver.join(timeout=30)
+    if driver.is_alive():
+        alice_eps[0].close()   # release Bob, so the failed run still ends
+        pytest.fail("run_pair left Bob blocked")
+    assert isinstance(outcome["exc"], channel.PeerClosedError)
+    assert not bob_threads[0].is_alive()
+
+
+KEY_WORDS = TINY.m * TINY.n + TINY.m
+MALFORMED_KEYS = {
+    "word-over-int64": b"\xff" * (8 * KEY_WORDS),
+    "not-bytes": 7,
+    "words-not-reduced": (9).to_bytes(8, "little") * KEY_WORDS,
+}
+
+
+@pytest.mark.parametrize("payload", MALFORMED_KEYS.values(), ids=MALFORMED_KEYS.keys())
+def test_semi_honest_bob_aborts_on_a_malformed_key(payload):
+    def alice(ep):
+        ep.send("rsp.key", payload)
+        ep.expect("oqfe.result")   # Bob must abort before any RSP report
+
+    with pytest.raises(protocols.ProtocolAbort) as info:
+        protocols.run_pair(
+            alice,
+            lambda ep: protocols.oqfe_sh_bob(ep, INPUTS["plus"], TINY,
+                                             coin_source(seeded(6), "bob"),
+                                             rsp.rsp_bob_shortcut),
+            bytes(16))
+    assert (info.value.phase, info.value.site, info.value.cause) == \
+        ("rsp", None, "malformed public key")
+
+
+@pytest.mark.parametrize("mode", ["sh", "mal"])
+def test_oqfe_session_builds_one_image_table_per_key(mode, monkeypatch):
+    lattice.image_census.cache_clear()
+    requested, built = [], []
+    census_fn, census_init = lattice.image_census, lattice.ImageCensus.__init__
+
+    def counting_census(pk):
+        requested.append(pk.K.tobytes() + pk.y0.tobytes())
+        return census_fn(pk)
+
+    def counting_init(self, pk):
+        built.append(pk.K.tobytes() + pk.y0.tobytes())
+        census_init(self, pk)
+
+    monkeypatch.setattr(lattice, "image_census", counting_census)
+    monkeypatch.setattr(lattice.ImageCensus, "__init__", counting_init)
+    protocols.oqfe_run(1, INPUTS["plus"], TINY, seeded(7), mode,
+                       rsp.rsp_bob_quantum, zk.ZkAuthority())
+    assert built == list(dict.fromkeys(requested))
