@@ -5,7 +5,13 @@ law (harness.q2pc_blinded_law_exact).  The walk holds every measurement
 branch at once, one row per outcome history (qsim.split_branches), so an
 n x m pattern costs n*m vectorized steps over at most 2^(n*m) amplitudes
 each.  circuit_model_law, the independent oracle, does not use it: it
-reads its Z law straight off the circuit state's amplitudes.
+builds its circuit state gate by gate with qsim.apply_gate and reads its
+Z law straight off the amplitudes.
+
+entangled_graph_state is the one CZ graph-state build: the grid states of
+both laws and of blind evaluation's Bob, and OQFE Bob's 3-qubit chain
+(protocols.oqfe_bob_state, a 1 x 3 pattern).  It forms the product state
+and then applies every CZ at once as one diagonal sign flip.
 
 A pattern is an n x m grid measured column-major, every site in the (X,Y)
 plane.  Column 0 is the input column (the input state itself, measured at
@@ -150,20 +156,30 @@ def entangled_graph_state(pattern: BrickworkPattern,
                           prepared: dict | None = None) -> StateVector:
     """Full grid state: the input column, then each non-input site's qubit
     column by column (prepared[(i, j)], default |+>), then a CZ per graph
-    edge: the horizontal wires first, then the bridges in listed order.
-    Site (i, j) sits at qubit index j*n + i."""
+    edge: one on every wire between neighbouring columns, and one per
+    listed bridge.  Site (i, j) sits at qubit index j*n + i.
+
+    The product is taken factor by factor in qsim.tensor's order (each
+    new qubit the high-index factor), so its floats are tensor's.  The
+    CZs are diagonal and commute, so they are applied at once: every
+    amplitude whose index sets both ends of an odd number of edges is
+    negated, which is exact."""
     _check_graph(pattern, input_state.num_qubits)
     n, m = pattern.n, pattern.m
-    state = input_state
+    plus = qsim.plus_state().amplitudes
+    amps = input_state.amplitudes
     for site in pattern.sites()[n:]:
-        state = qsim.tensor(state, qsim.plus_state() if prepared is None
-                            else prepared[site])
-    for j in range(m - 1):
-        for i in range(n):
-            state = qsim.apply_gate(state, "CZ", (j * n + i, (j + 1) * n + i))
-    for (i, j) in pattern.bridges:
-        state = qsim.apply_gate(state, "CZ", (j * n + i, j * n + i + 1))
-    return state
+        factor = plus if prepared is None else prepared[site].amplitudes
+        amps = np.multiply.outer(factor, amps).reshape(-1)
+    edges = [(j * n + i, (j + 1) * n + i) for j in range(m - 1) for i in range(n)]
+    edges += [(j * n + i, j * n + i + 1) for (i, j) in pattern.bridges]
+    odd = np.zeros((2,) * (n * m), dtype=bool)   # axis -1-q holds qubit q
+    for edge in edges:
+        both = [slice(None)] * (n * m)
+        for q in edge:
+            both[-1 - q] = 1
+        odd[tuple(both)] ^= True
+    return StateVector(n * m, np.where(odd.reshape(-1), -amps, amps))
 
 
 def _branch_law(pattern: BrickworkPattern, state: StateVector,

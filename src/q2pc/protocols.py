@@ -23,7 +23,10 @@ mbqc.blind_delta over Alice's outcome history) is preceded by an accepted
 blind-angle proof; Bob aborts before measuring on any rejected proof.
 
 Abort taxonomy: every ProtocolAbort carries (phase, site, cause) so tests
-can assert exact abort points.
+can assert exact abort points.  A malformed peer value aborts too: an
+RSP report that is not a (y, w) pair of integers mod q and bits (phase
+"rsp"), an OQFE delta that is not an even Angle8 in 0..7 or an OQFE
+result that is not two bits (phase "measurement").
 """
 
 from __future__ import annotations
@@ -63,11 +66,11 @@ def oqfe_decode(b: int, theta1: int, r_a: int, m0: int, s_bar: int) -> int:
 
 
 def oqfe_bob_state(psi_in: StateVector, psi_a: StateVector) -> StateVector:
-    """psi_in (qubit 0), Alice's RSP qubit (1), fresh |+> output (2), CZ chain."""
-    st = qsim.tensor(qsim.tensor(psi_in, psi_a), qsim.plus_state())
-    st = qsim.apply_gate(st, "CZ", (0, 1))
-    st = qsim.apply_gate(st, "CZ", (1, 2))
-    return st
+    """psi_in (qubit 0), Alice's RSP qubit (1), fresh |+> output (2), CZ
+    chain: the graph state of a 1 x 3 pattern (mbqc.entangled_graph_state)."""
+    chain = BrickworkPattern(1, 3, ((0, 0, 0),))
+    return mbqc.entangled_graph_state(
+        chain, psi_in, {(0, 1): psi_a, (0, 2): qsim.plus_state()})
 
 
 def oqfe_bob_branches(psi_in: StateVector, psi_a: StateVector, delta: Angle8):
@@ -125,22 +128,33 @@ class OqfeBobView:
 
 # ------------------------------------------------- OQFE after key generation
 
+def _expect_rsp_report(ep: Endpoint, site) -> list:
+    """Bob's rsp.meas report, a (y, w) pair; rsp_alice_decode checks each."""
+    report = ep.expect("rsp.meas").value()
+    if not (isinstance(report, (list, tuple)) and len(report) == 2):
+        raise ProtocolAbort("rsp", site, "measurement report is not a (y, w) pair")
+    return report
+
+
 def _oqfe_alice_steps(ep: Endpoint, b: int, kp: TrapdoorKeypair,
                       coins: CoinSource) -> OqfeAliceView:
     """Alice once Bob holds her key: decode his RSP report, mask, send
     delta, decode his result."""
     view = OqfeAliceView(b=b)
-    y, w = ep.expect("rsp.meas").value()
-    view.y, view.w_meas = tuple(y), tuple(w)
+    y, w = _expect_rsp_report(ep, None)
     try:
         dec = rsp.rsp_alice_decode(kp, y, w)
     except rsp.RspAbort as exc:
         raise ProtocolAbort("rsp", None, str(exc)) from exc
+    view.y, view.w_meas = tuple(y), tuple(w)
     view.theta1, view.theta2 = dec.theta1, dec.theta2
     view.r_a = coins.child("mask").bit()
     view.delta = oqfe_delta(b, dec.theta2, view.r_a)
     ep.send("oqfe.delta", int(view.delta))
-    view.m0, view.s_bar = ep.expect("oqfe.result").value()
+    result = ep.expect("oqfe.result").value()
+    if not rsp._ints_below(result, 2, 2):
+        raise ProtocolAbort("measurement", None, "result is not two bits")
+    view.m0, view.s_bar = result
     view.s_b = oqfe_decode(b, dec.theta1, view.r_a, view.m0, view.s_bar)
     return view
 
@@ -152,7 +166,10 @@ def _oqfe_bob_steps(ep: Endpoint, view: OqfeBobView, pk: lattice.PublicKey,
     out = backend(pk, coins.child("rsp"))
     view.y, view.w_meas = out.y, out.w_meas
     ep.send("rsp.meas", (list(out.y), list(out.w_meas)))
-    view.delta = Angle8(ep.expect("oqfe.delta").value())
+    delta = ep.expect("oqfe.delta").value()
+    if type(delta) is not int or delta not in range(0, 8, 2):
+        raise ProtocolAbort("measurement", None, "delta is not an even Angle8")
+    view.delta = Angle8(delta)
     view.m0, view.s_bar = oqfe_bob_measure(psi_in, out.state, view.delta,
                                            coins.child("meas"))
     ep.send("oqfe.result", (view.m0, view.s_bar))
@@ -299,8 +316,8 @@ def q2pc_alice(ep: Endpoint, pattern: BrickworkPattern, params: LatticeParams,
     for s in sites:
         result.r_mask[s] = rcoins.bit()
     for s in sites:
-        y1, w1 = ep.expect("rsp.meas").value()
-        y2, w2 = ep.expect("rsp.meas").value()
+        y1, w1 = _expect_rsp_report(ep, s)
+        y2, w2 = _expect_rsp_report(ep, s)
         tag, i, j, u, t = ep.expect("q2pc.outcome").value()
         if (tag, i, j) != ("merge", s[0], s[1]):
             raise ProtocolAbort("rsp", s, "merge report out of order")

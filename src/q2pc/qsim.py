@@ -6,7 +6,11 @@ sampled and exact measurements.
 Conventions (used everywhere, never redeclared):
   * qubit indices are little-endian: qubit q is bit q of the amplitude
     array index, so qubit 0 varies fastest;
-  * angles are Angle8 values, integers mod 8 in units of pi/4;
+  * angles are Angle8 values, integers mod 8 in units of pi/4; a gate
+    angle or basis that is not an integer (or 'Z') is a QsimError;
+  * apply_gate runs a one-qubit gate as one np.dot over the amplitudes
+    viewed as (high, 2, low); gate matrices are shared and read-only,
+    each RZ/RX matrix built once per Angle8 value;
   * measured qubits are physically removed from the state;
   * one kernel, split_branches, performs every measurement, sampled or
     exact.  It holds every branch at once, unnormalized, as one
@@ -118,10 +122,25 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
 _H = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2)
 _X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 _Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
+_H.flags.writeable = _X.flags.writeable = _Z.flags.writeable = False
+# (kind, Angle8) -> read-only matrix, built on first use: at most 16
+# entries, and two threads racing on one only build it twice
+_ROTATIONS: dict = {}
 
 
-def _rz_matrix(angle: Angle8) -> np.ndarray:
-    return np.array([[1, 0], [0, np.exp(1j * Angle8(angle).radians)]], dtype=np.complex128)
+def _rotation(kind: str, angle) -> np.ndarray:
+    """The RZ or RX matrix at an integer angle, built once per Angle8 value."""
+    if isinstance(angle, bool) or not isinstance(angle, (int, np.integer)):
+        raise QsimError(f"angle {angle!r} is not an integer")
+    key = (kind, Angle8(angle))
+    mat = _ROTATIONS.get(key)
+    if mat is None:
+        mat = np.array([[1, 0], [0, np.exp(1j * key[1].radians)]], dtype=np.complex128)
+        if kind == "RX":
+            mat = _H @ mat @ _H
+        mat.flags.writeable = False
+        _ROTATIONS[key] = mat
+    return mat
 
 
 def _gate_matrix(gate) -> tuple[np.ndarray, int]:
@@ -134,12 +153,8 @@ def _gate_matrix(gate) -> tuple[np.ndarray, int]:
         return _Z, 1
     if gate == "CZ":
         return np.diag([1, 1, 1, -1]).astype(np.complex128), 2
-    if isinstance(gate, tuple) and len(gate) == 2:
-        kind, angle = gate
-        if kind == "RZ":
-            return _rz_matrix(angle), 1
-        if kind == "RX":
-            return _H @ _rz_matrix(angle) @ _H, 1
+    if isinstance(gate, tuple) and len(gate) == 2 and gate[0] in ("RZ", "RX"):
+        return _rotation(*gate), 1
     raise QsimError(f"unknown gate {gate!r}")
 
 
@@ -155,23 +170,31 @@ def apply_gate(state: StateVector, gate, targets) -> StateVector:
         if not (0 <= q < state.num_qubits):
             raise QsimError(f"target {q} out of range")
     n = state.num_qubits
+    if arity == 1:
+        # amplitudes as (high, 2, low): the target's bit is the middle axis;
+        # the (2, high*low) operand and np.dot call are np.tensordot's
+        low = 1 << targets[0]
+        parts = state.amplitudes.reshape(-1, 2, low).transpose(1, 0, 2).reshape(2, -1)
+        out = np.dot(mat, parts).reshape(2, -1, low).transpose(1, 0, 2)
+        return StateVector(n, out.reshape(-1))
     tens = state.amplitudes.reshape((2,) * n)  # axis k holds qubit n-1-k
     axes = [n - 1 - q for q in targets]
-    if arity == 1:
-        tens = np.tensordot(mat, tens, axes=([1], [axes[0]]))
-        tens = np.moveaxis(tens, 0, axes[0])
-    else:
-        tens = np.moveaxis(tens, axes, [0, 1])
-        tens = tens.reshape(4, -1)
-        # moveaxis put targets[0] at axis 0 (stride-major); matrix index is
-        # (t0<<1)|t1 in our little-endian convention, consistent with CZ's
-        # symmetric diagonal
-        tens = (mat @ tens).reshape((2, 2) + (2,) * (n - 2))
-        tens = np.moveaxis(tens, [0, 1], axes)
+    tens = np.moveaxis(tens, axes, [0, 1])
+    tens = tens.reshape(4, -1)
+    # moveaxis put targets[0] at axis 0 (stride-major); matrix index is
+    # (t0<<1)|t1 in our little-endian convention, consistent with CZ's
+    # symmetric diagonal
+    tens = (mat @ tens).reshape((2, 2) + (2,) * (n - 2))
+    tens = np.moveaxis(tens, [0, 1], axes)
     return StateVector(n, np.ascontiguousarray(tens.reshape(-1)))
 
 
 # -------------------------------------------------------------- measurements
+
+# e^{-i a pi/4} for a = 0..7: the in-plane phase of split_branches
+_PHASES = np.exp(-0.25j * math.pi * np.arange(8))
+_PHASES.flags.writeable = False
+
 
 @dataclass(frozen=True)
 class Branch:
@@ -190,7 +213,8 @@ def split_branches(amps: np.ndarray, history: np.ndarray, qubit: int,
     significant), and |row|^2 is its probability.  basis is 'Z' or Angle8
     values, one for every row or an integer array with one per row; an
     in-plane outcome is 0 on |+_angle>, so the children of (lo, hi) are
-    (lo +- e^{-i angle pi/4} hi)/sqrt(2).  Returns the children's
+    (lo +- e^{-i angle pi/4} hi)/sqrt(2), the phase read from an 8-entry
+    table.  Any other basis is a QsimError.  Returns the children's
     (amps, history), (branches', 2**(live-1)), still in history order; a
     child whose conditional probability is below the degenerate tolerance
     is dropped, and so are all its descendants."""
@@ -202,8 +226,10 @@ def split_branches(amps: np.ndarray, history: np.ndarray, qubit: int,
             raise QsimError(f"unknown basis {basis!r}")
         children = np.stack((lo, hi), axis=1)
     else:
-        angle = np.asarray(basis, dtype=np.int64) % 8
-        hi = hi * np.exp(-0.25j * math.pi * angle).reshape(-1, 1, 1)
+        angle = np.asarray(basis)
+        if angle.dtype.kind not in "iu":
+            raise QsimError(f"unknown basis {basis!r}")
+        hi = hi * _PHASES[angle & 7].reshape(-1, 1, 1)
         children = np.empty((rows, 2) + lo.shape[1:], dtype=hi.dtype)
         np.add(lo, hi, out=children[:, 0])
         np.subtract(lo, hi, out=children[:, 1])
@@ -212,7 +238,7 @@ def split_branches(amps: np.ndarray, history: np.ndarray, qubit: int,
     weights = (children.real ** 2 + children.imag ** 2).sum(axis=1)
     parent = weights.reshape(rows, 2).sum(axis=1)
     keep = weights >= _DEGENERATE_TOL * np.repeat(parent, 2)
-    history = (np.repeat(history, 2) << 1) | np.tile((0, 1), rows)
+    history = ((history << 1)[:, None] | (0, 1)).reshape(-1)
     if keep.all():
         return children, history
     return children[keep], history[keep]
@@ -257,8 +283,7 @@ def enumerate_branches(state: StateVector, plan) -> list[Branch]:
         if q not in live:
             raise QsimError(f"qubit {q} out of range")
         cur = live.index(q)
-        amps, history = split_branches(
-            amps, history, cur, basis if basis == "Z" else Angle8(basis))
+        amps, history = split_branches(amps, history, cur, basis)
         del live[cur]
     probs = (amps.real ** 2 + amps.imag ** 2).sum(axis=1)
     residuals = amps / np.sqrt(probs)[:, None]

@@ -59,7 +59,8 @@ class RspError(Exception):
 
 
 class RspAbort(RspError):
-    """Dishonest or broken counterparty: undecodable y."""
+    """Dishonest or broken counterparty: a malformed report or an
+    undecodable y."""
 
 
 @dataclass(frozen=True)
@@ -177,14 +178,25 @@ def rsp_bob_shortcut(pk: PublicKey, coins: CoinSource,
     return RspBobOutput(state, y, _w_tuple(w_int, W), resamples)
 
 
+def _ints_below(values, bound: int, width: int) -> bool:
+    """values is a list or tuple of width ints (bools excluded), each in
+    [0, bound)."""
+    return (isinstance(values, (list, tuple)) and len(values) == width
+            and all(type(v) is int and 0 <= v < bound for v in values))
+
+
 def rsp_alice_decode(kp: TrapdoorKeypair, y, w_meas) -> RspAliceOutput:
+    """Alice's (theta1, theta2) from Bob's report; RspAbort unless y is m
+    integers mod q with two preimages and w_meas is preimage_bits bits."""
+    p = kp.params
+    if not _ints_below(y, p.q, p.m):
+        raise RspAbort(f"received y is not {p.m} integers mod {p.q}")
+    if not _ints_below(w_meas, 2, p.preimage_bits):
+        raise RspAbort(f"measurement string is not {p.preimage_bits} bits")
     try:
-        x, xp = lattice.invert(kp, np.array(tuple(y), dtype=np.int64))
+        x, xp = lattice.invert(kp, np.array(y, dtype=np.int64))
     except NotInImageError as exc:
         raise RspAbort(f"received y is undecodable: {exc}") from exc
-    p = kp.params
-    if len(w_meas) != p.preimage_bits:
-        raise RspAbort("measurement string has wrong width")
     theta2 = lattice.hardcore(x) ^ lattice.hardcore(xp)
     delta = lattice.encode(p, x) ^ lattice.encode(p, xp)
     theta1 = ((theta2 & _inner_parity(w_int_of(w_meas), delta))

@@ -36,13 +36,20 @@ CLI_DIGESTS = [
     # the dense w-law enumeration's floats on the validated points
     (["experiment", "backend-eq", "--seed", "demo"],
      "5b55ba086207b463e72ea89c9ae76c9d952a5236f30e63f74d3ba4789ef93b5e"),
+    # the OQFE chain's graph-state floats, through every exact view law
+    (["experiment", "simulator-tv", "--b", "0", "--input", "iplus", "--seed", "demo"],
+     "e71d5d8611f6e9b3a7aab7cd81365053745bda1868b0a91ed929b6dd14c14546"),
+    # a one-wire blinded law: no bridge, three columns
+    (["experiment", "q2pc-correctness", "--pattern", "rz:3", "--seed", "demo"],
+     "c4fdace3bcc2e6eb1f0486a2fe854e0dce10b3fb8f99114b714ee9b3dfe699f9"),
 ]
 
 
 @pytest.mark.parametrize("argv, digest", CLI_DIGESTS,
                          ids=["q2pc-brick", "oqfe-sh", "oqfe-mal", "compile-fullsim",
                               "q2pc-correctness", "backend-eq-sampled",
-                              "backend-eq-exact"])
+                              "backend-eq-exact", "simulator-tv",
+                              "q2pc-correctness-rz"])
 def test_cli_output_is_pinned(argv, digest, tmp_path, capsys):
     path = tmp_path / "transcript.json"
     extra = ([] if argv[0] in ("compile", "experiment")

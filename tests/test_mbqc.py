@@ -209,6 +209,52 @@ def test_flow_determinism_per_branch():
         assert abs(one.probability - 1.0) < 1e-9  # corrected outcome always 1
 
 
+@st.composite
+def graph_cases(draw):
+    """A 1x1 to 3x4 pattern with random bridges (repeats allowed), an input
+    column of basis states and |+theta> states, and either the default |+>
+    sites or |+theta> prepared ones."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    spots = [(i, j) for i in range(n - 1) for j in range(m)]
+    bridges = draw(st.lists(st.sampled_from(spots), max_size=4)) if spots else []
+    pattern = BrickworkPattern(n, m, ((Angle8(0),) * m,) * n, tuple(bridges))
+    one_qubit = st.one_of(st.integers(0, 1).map(lambda b: qsim.basis_state(1, b)),
+                          st.integers(0, 7).map(lambda a: qsim.plus_state(Angle8(a))))
+    psi = draw(one_qubit)
+    for _ in range(n - 1):
+        psi = qsim.tensor(psi, draw(one_qubit))
+    prepared = None
+    if draw(st.booleans()):
+        prepared = {s: qsim.plus_state(Angle8(draw(st.integers(0, 7))))
+                    for s in pattern.sites()[n:]}
+    return pattern, psi, prepared
+
+
+def sequential_graph_state(pattern, psi, prepared):
+    """Oracle: one qsim.tensor per site, then one CZ gate per edge."""
+    n, m = pattern.n, pattern.m
+    state = psi
+    for site in pattern.sites()[n:]:
+        state = qsim.tensor(state, qsim.plus_state() if prepared is None
+                            else prepared[site])
+    for j in range(m - 1):
+        for i in range(n):
+            state = qsim.apply_gate(state, "CZ", (j * n + i, (j + 1) * n + i))
+    for (i, j) in pattern.bridges:
+        state = qsim.apply_gate(state, "CZ", (j * n + i, j * n + i + 1))
+    return state
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph_cases())
+def test_graph_state_matches_the_gate_by_gate_build(case):
+    pattern, psi, prepared = case
+    got = mbqc.entangled_graph_state(pattern, psi, prepared)
+    want = sequential_graph_state(pattern, psi, prepared)
+    assert got.num_qubits == want.num_qubits
+    assert np.array_equal(got.amplitudes, want.amplitudes)
+
+
 def test_budget_exceeded():
     phi = tuple(tuple(Angle8(0) for _ in range(13)) for _ in range(2))
     pat = BrickworkPattern(2, 13, phi)

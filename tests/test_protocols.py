@@ -228,17 +228,17 @@ def test_tampered_blind_angle_proof_aborts_before_measurement():
     assert ["site", 0, 1] not in [s[:3] for s in sites]
 
 
-class _ScriptedOutcomes:
-    """Bob's endpoint with each site outcome he sends rewritten by
+class _Rewriting:
+    """An endpoint with each msg_type value it sends rewritten by
     script(value); one message still goes out per send, so the channel's
     sequence numbers stay intact and only the protocol can object."""
 
-    def __init__(self, inner, script):
-        self._inner, self._script = inner, script
+    def __init__(self, inner, msg_type, script):
+        self._inner, self._type, self._script = inner, msg_type, script
 
     def send(self, msg_type, value):
-        if msg_type == "q2pc.outcome" and value[0] == "site":
-            value = self._script(tuple(value))
+        if msg_type == self._type:
+            value = self._script(value)
         self._inner.send(msg_type, value)
 
     def __getattr__(self, name):
@@ -272,9 +272,10 @@ def test_alice_aborts_on_a_repeated_reordered_or_non_bit_outcome(
         protocols.run_pair(
             lambda ep: protocols.q2pc_alice(ep, pattern, TINY,
                                             coin_source(seeded(3), "alice"), auth),
-            lambda ep: protocols.q2pc_bob(_ScriptedOutcomes(ep, script), psi,
-                                          TINY, coin_source(seeded(3), "bob"),
-                                          rsp.rsp_bob_shortcut, auth),
+            lambda ep: protocols.q2pc_bob(
+                _Rewriting(ep, "q2pc.outcome", lambda value: (
+                    script(tuple(value)) if value[0] == "site" else value)),
+                psi, TINY, coin_source(seeded(3), "bob"), rsp.rsp_bob_shortcut, auth),
             bytes(16))
     assert (info.value.phase, info.value.site, info.value.cause) == (phase, site, cause)
 
@@ -387,6 +388,57 @@ def test_semi_honest_bob_aborts_on_a_malformed_key(payload):
             bytes(16))
     assert (info.value.phase, info.value.site, info.value.cause) == \
         ("rsp", None, "malformed public key")
+
+
+def run_rewritten_oqfe(party, msg_type, script):
+    """A semi-honest OQFE session whose alice or bob rewrites each
+    msg_type value it sends by script(value)."""
+    def wrap(side, ep):
+        return _Rewriting(ep, msg_type, script) if side == party else ep
+    return protocols.run_pair(
+        lambda ep: protocols.oqfe_sh_alice(wrap("alice", ep), 1, TINY,
+                                           coin_source(seeded(9), "alice")),
+        lambda ep: protocols.oqfe_sh_bob(wrap("bob", ep), INPUTS["plus"], TINY,
+                                         coin_source(seeded(9), "bob"),
+                                         rsp.rsp_bob_shortcut),
+        bytes(16))
+
+
+@pytest.mark.parametrize("delta", ["x", None, [1], "3", True, 2 ** 40, 3, -2, 8],
+                         ids=["str", "none", "list", "numeric-str", "bool", "huge",
+                              "odd", "negative", "eight"])
+def test_bob_aborts_on_a_malformed_delta(delta):
+    with pytest.raises(protocols.ProtocolAbort) as info:
+        run_rewritten_oqfe("alice", "oqfe.delta", lambda _value: delta)
+    assert (info.value.phase, info.value.site) == ("measurement", None)
+
+
+MALFORMED_REPORTS = {
+    "none": lambda y, w: None,
+    "triple": lambda y, w: (y, w, 0),
+    "y-strings": lambda y, w: ([str(v) for v in y], w),
+    "y-unreduced": lambda y, w: ([y[0] + TINY.q] + y[1:], w),
+    "w-two": lambda y, w: (y, [2] + w[1:]),
+    "w-bool": lambda y, w: (y, [bool(w[0])] + w[1:]),
+}
+
+
+@pytest.mark.parametrize("script", MALFORMED_REPORTS.values(),
+                         ids=MALFORMED_REPORTS.keys())
+def test_alice_aborts_on_a_malformed_rsp_report(script):
+    with pytest.raises(protocols.ProtocolAbort) as info:
+        run_rewritten_oqfe("bob", "rsp.meas", lambda value: script(*value))
+    assert (info.value.phase, info.value.site) == ("rsp", None)
+
+
+@pytest.mark.parametrize("result", [(5, 7), (0, 2), (True, 0), None, [0], "01",
+                                    (0, 0, 0)],
+                         ids=["not-bits", "two", "bool", "none", "one", "str", "triple"])
+def test_alice_aborts_on_a_malformed_result(result):
+    with pytest.raises(protocols.ProtocolAbort) as info:
+        run_rewritten_oqfe("bob", "oqfe.result", lambda _value: result)
+    assert (info.value.phase, info.value.site, info.value.cause) == \
+        ("measurement", None, "result is not two bits")
 
 
 @pytest.mark.parametrize("mode", ["sh", "mal"])

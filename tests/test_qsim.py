@@ -53,6 +53,38 @@ def test_rx_equals_hrzh():
         assert np.allclose(p_direct, p_composed, atol=1e-12)
 
 
+ONE_QUBIT_GATES = ["H", "X", "Z"] + [(kind, Angle8(a))
+                                     for kind in ("RZ", "RX") for a in range(8)]
+
+
+def tensordot_gate(state, mat, q):
+    """Reference one-qubit gate: contract the matrix with the qubit's axis
+    by np.tensordot, then move that axis back."""
+    n = state.num_qubits
+    tens = np.tensordot(mat, state.amplitudes.reshape((2,) * n),
+                        axes=([1], [n - 1 - q]))
+    return np.ascontiguousarray(np.moveaxis(tens, 0, n - 1 - q).reshape(-1))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_one_qubit_gate_is_byte_equal_to_tensordot(n):
+    rng = np.random.default_rng(n)
+    state = make_state(n, rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n))
+    for gate in ONE_QUBIT_GATES:
+        mat, _arity = qsim._gate_matrix(gate)
+        for q in range(n):
+            got = apply_gate(state, gate, q).amplitudes
+            assert got.tobytes() == tensordot_gate(state, mat, q).tobytes()
+
+
+@pytest.mark.parametrize("gate", ["H", "X", "Z", ("RZ", Angle8(3)), ("RX", Angle8(5))])
+def test_shared_gate_matrices_are_read_only(gate):
+    mat, _arity = qsim._gate_matrix(gate)
+    assert qsim._gate_matrix(gate)[0] is mat
+    with pytest.raises(ValueError):
+        mat[0, 0] = mat[0, 0]
+
+
 def test_gate_errors():
     with pytest.raises(qsim.QsimError):
         apply_gate(basis_state(1, 0), "H", 1)
@@ -60,8 +92,11 @@ def test_gate_errors():
         apply_gate(basis_state(2, 0), "CZ", (0,))
     with pytest.raises(qsim.QsimError):
         apply_gate(basis_state(2, 0), "CZ", (1, 1))
-    with pytest.raises(qsim.QsimError):
-        apply_gate(basis_state(1, 0), "SWAP", 0)
+    # an unhashable or malformed gate, or an angle that is not an integer
+    for gate in ("SWAP", ["RZ", 1], ("RY", 1), ("RZ",), ("RZ", 2.5), ("RX", "1"),
+                 ("RZ", None)):
+        with pytest.raises(qsim.QsimError):
+            apply_gate(basis_state(1, 0), gate, 0)
 
 
 def test_measure_basis_state():
@@ -256,9 +291,13 @@ def test_measure_rejects_unknown_qubits_and_bases():
 def test_enumerate_branches_rejects_unknown_qubits_and_bases():
     with pytest.raises(qsim.QsimError):
         enumerate_branches(plus_state(), [(1, "Z")])
-    with pytest.raises(qsim.QsimError):
-        qsim.split_branches(plus_state().amplitudes.reshape(1, -1),
-                            np.zeros(1, dtype=np.int64), 0, "Y")
+    # an angle must be an integer: 2.5 is not measured at 2
+    for basis in ("Y", 2.5, np.float64(2.0), True, None, np.array([2.5]), 2 ** 70):
+        with pytest.raises(qsim.QsimError):
+            enumerate_branches(plus_state(), [(0, basis)])
+        with pytest.raises(qsim.QsimError):
+            qsim.split_branches(plus_state().amplitudes.reshape(1, -1),
+                                np.zeros(1, dtype=np.int64), 0, basis)
 
 
 def test_qubit_budget():
