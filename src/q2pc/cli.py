@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import channel, compilers, harness, mbqc, protocols, qsim, rsp, zk
-from .primitives import coin_source, sha256
+from .primitives import sha256
 from .profiles import get_profile
 from .qsim import Angle8, StateVector
 
@@ -69,18 +69,25 @@ def state_from_file(path: str, width: int) -> StateVector:
 
 
 def load_pattern(spec: str) -> mbqc.BrickworkPattern:
-    """Either a JSON pattern file or a library shorthand name[:a[,b]]."""
+    """Either a JSON pattern file or a library shorthand name[:a[,b]],
+    refused before any state is built unless its grid fits the dense
+    qubit budget."""
     if spec.endswith(".json"):
-        return mbqc.pattern_from_json(Path(spec).read_text(encoding="utf-8"))
-    name, _, argtext = spec.partition(":")
-    if name not in mbqc.PATTERN_LIBRARY:
-        raise UsageError(f"unknown pattern {name!r}; library: "
-                         f"{', '.join(sorted(mbqc.PATTERN_LIBRARY))}")
-    try:
-        args = [Angle8(int(a)) for a in argtext.split(",") if a != ""]
-        return mbqc.PATTERN_LIBRARY[name](*args)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"bad arguments for pattern {name!r}: {exc}") from exc
+        pattern = mbqc.pattern_from_json(Path(spec).read_text(encoding="utf-8"))
+    else:
+        name, _, argtext = spec.partition(":")
+        if name not in mbqc.PATTERN_LIBRARY:
+            raise UsageError(f"unknown pattern {name!r}; library: "
+                             f"{', '.join(sorted(mbqc.PATTERN_LIBRARY))}")
+        try:
+            args = [Angle8(int(a)) for a in argtext.split(",") if a != ""]
+            pattern = mbqc.PATTERN_LIBRARY[name](*args)
+        except (TypeError, ValueError) as exc:
+            raise UsageError(f"bad arguments for pattern {name!r}: {exc}") from exc
+    if pattern.n * pattern.m > qsim.MAX_DENSE_QUBITS:
+        raise UsageError(f"a {pattern.n} x {pattern.m} pattern exceeds the "
+                         f"{qsim.MAX_DENSE_QUBITS}-qubit dense budget")
+    return pattern
 
 
 def resolve_input(args, width: int) -> StateVector:
@@ -145,15 +152,14 @@ def cmd_oqfe_run(args) -> int:
     if args.mode == "mal":
         raise UsageError("malicious mode needs the in-process proof escrow; "
                          "use --transport inproc")
-    sid = coin_source(seed, "session").take_bytes(16)
+    sid, acoins, bcoins = protocols.seeded_session(seed)
     ep = make_endpoint(args, sid)
     try:
         if args.role == "alice":
-            view = protocols.oqfe_sh_alice(ep, args.b, params,
-                                           coin_source(seed, "alice"))
+            view = protocols.oqfe_sh_alice(ep, args.b, params, acoins)
             emit({"s_b": view.s_b, "delta": int(view.delta)})
         else:
-            view = protocols.oqfe_sh_bob(ep, psi, params, coin_source(seed, "bob"),
+            view = protocols.oqfe_sh_bob(ep, psi, params, bcoins,
                                          rsp.rsp_bob_shortcut)
             emit({"m0": view.m0, "s_bar": view.s_bar})
         return write_or_check_transcript(ep, args)
@@ -186,15 +192,14 @@ def cmd_experiment(args) -> int:
             profile=args.profile, trials=args.trials, seed=seed)
     elif name == "simulator-tv":
         report = harness.simulator_tv_experiment(
-            named_state(args.input), args.b, profile=args.profile,
+            resolve_input(args, 1), args.b, profile=args.profile,
             variant=args.variant)
     elif name == "extractor":
         report = harness.extractor_experiment(
             trials=100 if args.trials is None else args.trials, seed=seed,
             profile=args.profile)
     elif name == "oqfe-correctness":
-        report = harness.oqfe_correctness_report(named_state(args.input),
-                                                 args.b)
+        report = harness.oqfe_correctness_report(resolve_input(args, 1), args.b)
     elif name == "q2pc-correctness":
         pattern = load_pattern(args.pattern)
         report = harness.q2pc_correctness_report(
@@ -334,7 +339,7 @@ def main(argv=None) -> int:
     # unreadable files (missing, or not UTF-8) are usage errors too
     except (UsageError, protocols.ProtocolError, compilers.CompilerError,
             harness.HarnessError, channel.ChannelError, mbqc.MbqcError,
-            zk.ZkError, OSError, UnicodeDecodeError) as exc:
+            qsim.QsimError, zk.ZkError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -102,6 +102,16 @@ def _sent_messages(transcript: channel.Transcript, sender: str) -> list:
             if m.sender == sender and not m.msg_type.startswith("fs.")]
 
 
+def _inner_bob(ep, psi: StateVector, params: LatticeParams, seed: bytes,
+               authority: zk.ZkAuthority) -> protocols.Q2pcBobResult:
+    """The deterministic inner Bob: q2pc_bob on the committed seed's "bob"
+    coins with the shortcut backend.  fullsim_bob runs it live and
+    rel_fullsim replays it, so the two sides of the consistency proof are
+    one function of the same inputs."""
+    return protocols.q2pc_bob(ep, psi, params, coin_source(seed, "bob"),
+                              rsp.rsp_bob_shortcut, authority)
+
+
 def rel_fullsim(params: LatticeParams,
                 authority: zk.ZkAuthority) -> zk.Relation:
     """Inner-run consistency: the committed description and seed determine a
@@ -116,8 +126,7 @@ def rel_fullsim(params: LatticeParams,
         psi = state_from_description(y_desc)
         replay = _ReplayEndpoint(sid, alice_msgs)
         try:
-            protocols.q2pc_bob(replay, psi, params, coin_source(seed, "bob"),
-                               rsp.rsp_bob_shortcut, authority)
+            _inner_bob(replay, psi, params, seed, authority)
         except (protocols.ProtocolError, CompilerError, channel.ChannelError):
             return False
         return replay.sent == [list(m) for m in bob_msgs]
@@ -135,8 +144,7 @@ def fullsim_alice(ep: Endpoint, pattern, params: LatticeParams,
                   coins: CoinSource, authority: zk.ZkAuthority) -> FullSimResult:
     com_y, com_seed = ep.expect("fs.commit").value()
     token = ep.expect("fs.zk").value()
-    session = zk.new_session(rel_opening(), (com_y,), "verifier", authority)
-    if zk.verify(session, [token]) != "accept":
+    if zk.verify(zk.ZkSession(rel_opening(), (com_y,), authority), token) != "accept":
         raise protocols.ProtocolAbort("description-proof", None,
                                       "input description proof rejected")
     inner = protocols.q2pc_alice(ep, pattern, params, coins, authority)
@@ -144,9 +152,8 @@ def fullsim_alice(ep: Endpoint, pattern, params: LatticeParams,
                  _sent_messages(ep.transcript, "alice"),
                  _sent_messages(ep.transcript, "bob"))
     final = ep.expect("fs.zk").value()
-    fsession = zk.new_session(rel_fullsim(params, authority), statement,
-                              "verifier", authority)
-    ok = zk.verify(fsession, [final]) == "accept"
+    fsession = zk.ZkSession(rel_fullsim(params, authority), statement, authority)
+    ok = zk.verify(fsession, final) == "accept"
     return FullSimResult(inner.output, ok, "complete" if ok else "consistency")
 
 
@@ -179,22 +186,17 @@ def fullsim_bob(ep: Endpoint, psi_in: StateVector, params: LatticeParams,
     opening = (y_desc, dec_y)
     if deviation == "garbage-commitment":
         opening = (y_desc, dec_seed)
-    tokens = zk.prove(zk.new_session(rel_opening(), (com_y,), "prover",
-                                     authority), opening)
-    ep.send("fs.zk", tokens[0])
+    ep.send("fs.zk", zk.prove(rel_opening(), (com_y,), opening, authority))
     inner_ep = _OutcomeFlipper(ep) if deviation == "tamper-message" else ep
-    result = protocols.q2pc_bob(inner_ep, psi_in, params,
-                                coin_source(seed, "bob"),
-                                rsp.rsp_bob_shortcut, authority)
+    result = _inner_bob(inner_ep, psi_in, params, seed, authority)
     statement = (com_y, com_seed, ep.session_id,
                  _sent_messages(ep.transcript, "alice"),
                  _sent_messages(ep.transcript, "bob"))
     witness = (y_desc, dec_y, seed, dec_seed)
     if deviation == "bad-opening":
         witness = (y_desc, dec_seed, seed, dec_seed)
-    final = zk.prove(zk.new_session(rel_fullsim(params, authority), statement,
-                                    "prover", authority), witness)
-    ep.send("fs.zk", final[0])
+    ep.send("fs.zk", zk.prove(rel_fullsim(params, authority), statement,
+                              witness, authority))
     return result
 
 
@@ -217,9 +219,7 @@ class _OutcomeFlipper:
 def fullsim_run(pattern, psi_in: StateVector, params: LatticeParams,
                 seed: bytes, deviation: str | None = None):
     """Single-process compiled run; returns (FullSimResult, bob result)."""
-    acoins = coin_source(seed, "alice")
-    bcoins = coin_source(seed, "bob-outer")
-    sid = coin_source(seed, "session").take_bytes(16)
+    sid, acoins, bcoins = protocols.seeded_session(seed, bob="bob-outer")
     auth = zk.ZkAuthority()
     alice = lambda ep: fullsim_alice(ep, pattern, params, acoins, auth)
     bob = lambda ep: fullsim_bob(ep, psi_in, params, bcoins, auth, deviation)
@@ -339,9 +339,8 @@ def zkpoqk_prover(ep: Endpoint, state: StateVector, instance: ToyCpoqk,
         enc_key = fresh_sym_key(coins.child("rogue"))
     com_sk, dec_sk = commit(sk.sk, coins.child("comsk"))
     ep.send("zkpoqk.comsk", com_sk)
-    tokens = zk.prove(zk.new_session(rel_opening(), (com_sk,), "prover",
-                                     authority), (sk.sk, dec_sk))
-    ep.send("zk.token", tokens[0])
+    ep.send("zk.token", zk.prove(rel_opening(), (com_sk,), (sk.sk, dec_sk),
+                                 authority))
     challenges = [ep.expect("zkpoqk.vmsg").value()
                   for _ in range(instance.rounds)]
     answers = toy_prover_answers(state, challenges, coins.child("measure"))
@@ -356,17 +355,16 @@ def zkpoqk_prover(ep: Endpoint, state: StateVector, instance: ToyCpoqk,
         enc_list.append(enc)
         ep.send("zkpoqk.enc", enc)
     statement = (com_sk, ep.session_id, challenges, enc_list)
-    final = zk.prove(zk.new_session(rel_zkpoqk(instance), statement, "prover",
-                                    authority), (sk.sk, dec_sk))
-    ep.send("zkpoqk.final", final[0])
+    ep.send("zkpoqk.final", zk.prove(rel_zkpoqk(instance), statement,
+                                     (sk.sk, dec_sk), authority))
 
 
 def zkpoqk_verifier(ep: Endpoint, instance: ToyCpoqk, coins: CoinSource,
                     authority: zk.ZkAuthority) -> ZkpoqkSession:
     com_sk = ep.expect("zkpoqk.comsk").value()
     token = ep.expect("zk.token").value()
-    pok = zk.new_session(rel_opening(), (com_sk,), "verifier", authority)
-    if zk.verify(pok, [token]) != "accept":
+    pok = zk.ZkSession(rel_opening(), (com_sk,), authority)
+    if zk.verify(pok, token) != "accept":
         return ZkpoqkSession(instance, False, "key-proof", com_sk,
                              pok_session=pok, session_id=ep.session_id)
     vseed = coins.child("challenge-seed").take_bytes(32)
@@ -377,9 +375,8 @@ def zkpoqk_verifier(ep: Endpoint, instance: ToyCpoqk, coins: CoinSource,
     enc_list = [ep.expect("zkpoqk.enc").value() for _ in range(instance.rounds)]
     final_token = ep.expect("zkpoqk.final").value()
     statement = (com_sk, ep.session_id, challenges, enc_list)
-    fsession = zk.new_session(rel_zkpoqk(instance), statement, "verifier",
-                              authority)
-    ok = zk.verify(fsession, [final_token]) == "accept"
+    fsession = zk.ZkSession(rel_zkpoqk(instance), statement, authority)
+    ok = zk.verify(fsession, final_token) == "accept"
     return ZkpoqkSession(instance, ok, "complete" if ok else "consistency",
                          com_sk, challenges, enc_list, pok, fsession,
                          ep.session_id)
@@ -391,9 +388,7 @@ def zkpoqk_run(w: int, nbits: int, seed: bytes, rounds: int | None = None,
     """Single-process compiled proof; returns (ZkpoqkSession, endpoints)."""
     instance = toy_instance(w, nbits, rounds)
     auth = authority or zk.ZkAuthority()
-    pcoins = coin_source(seed, "prover")
-    vcoins = coin_source(seed, "verifier")
-    sid = coin_source(seed, "session").take_bytes(16)
+    sid, pcoins, vcoins = protocols.seeded_session(seed, "prover", "verifier")
     prover = lambda ep: zkpoqk_prover(ep, toy_witness_state(w, nbits),
                                       instance, pcoins, auth, deviation)
     verifier = lambda ep: zkpoqk_verifier(ep, instance, vcoins, auth)

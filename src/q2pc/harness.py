@@ -476,9 +476,7 @@ def extractor_experiment(trials: int = 100, seed: bytes = b"\x00" * 32,
         run_seed = base.take_bytes(32)
         b = base.bit()
         auth = zk.ZkAuthority()
-        acoins = coin_source(run_seed, "alice")
-        bcoins = coin_source(run_seed, "bob")
-        sid = coin_source(run_seed, "session").take_bytes(16)
+        sid, acoins, bcoins = protocols.seeded_session(run_seed)
         if biased_mask is None:
             alice = lambda ep: protocols.oqfe_mal_alice(ep, b, params, acoins, auth)
         else:
@@ -546,9 +544,7 @@ def cheating_experiment(strategy, seed: bytes = b"\x01" * 32,
     """Runs one scripted cheating Alice; returns the abort phase."""
     params = get_profile(profile).params
     auth = zk.ZkAuthority()
-    acoins = coin_source(seed, "alice")
-    bcoins = coin_source(seed, "bob")
-    sid = coin_source(seed, "session").take_bytes(16)
+    sid, acoins, bcoins = protocols.seeded_session(seed)
     alice = lambda ep: strategy(ep, 0, params, acoins, auth)
     bob = lambda ep: protocols.oqfe_mal_bob(
         ep, qsim.plus_state(), params, bcoins, rsp.rsp_bob_shortcut, auth)

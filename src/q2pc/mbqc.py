@@ -143,11 +143,12 @@ def output_bits(n: int, s_bar: int) -> tuple:
     return tuple((s_bar >> (n - 1 - i)) & 1 for i in range(n))
 
 
-def _check_graph(pattern: BrickworkPattern, input_width: int) -> None:
-    """The grid fits an input of input_width qubits and the dense budget."""
-    if input_width != pattern.n:
+def _check_graph(n: int, m: int, input_width: int) -> None:
+    """An n x m grid fits an input of input_width qubits and the dense
+    budget."""
+    if input_width != n:
         raise MbqcError("input state width does not match pattern rows")
-    if pattern.n * pattern.m > qsim.MAX_DENSE_QUBITS:
+    if n * m > qsim.MAX_DENSE_QUBITS:
         raise MbqcError("pattern exceeds dense qubit budget")
 
 
@@ -164,7 +165,7 @@ def entangled_graph_state(pattern: BrickworkPattern,
     CZs are diagonal and commute, so they are applied at once: every
     amplitude whose index sets both ends of an odd number of edges is
     negated, which is exact."""
-    _check_graph(pattern, input_state.num_qubits)
+    _check_graph(pattern.n, pattern.m, input_state.num_qubits)
     n, m = pattern.n, pattern.m
     plus = qsim.plus_state().amplitudes
     amps = input_state.amplitudes

@@ -23,10 +23,11 @@ mbqc.blind_delta over Alice's outcome history) is preceded by an accepted
 blind-angle proof; Bob aborts before measuring on any rejected proof.
 
 Abort taxonomy: every ProtocolAbort carries (phase, site, cause) so tests
-can assert exact abort points.  A malformed peer value aborts too: an
-RSP report that is not a (y, w) pair of integers mod q and bits (phase
-"rsp"), an OQFE delta that is not an even Angle8 in 0..7 or an OQFE
-result that is not two bits (phase "measurement").
+can assert exact abort points.  A malformed peer value aborts in the
+phase that reads it: coin shares or a q2pc commitment ("setup"), key or
+token lists ("keygen-proof"), an RSP or merge report ("rsp"), a delta, a
+result or a site outcome ("measurement" or "input-column").  Any value
+but the statement's proof token is a rejected proof.
 """
 
 from __future__ import annotations
@@ -52,6 +53,14 @@ class ProtocolAbort(ProtocolError):
         self.phase = phase
         self.site = site
         self.cause = cause
+
+
+def _is_seq(value, length: int | None = None, item_type: type | None = None) -> bool:
+    """A peer's list (a tuple once decoded) of length items, each exactly
+    of item_type (so no bool passes for an int); None checks nothing."""
+    return (isinstance(value, (list, tuple))
+            and (length is None or len(value) == length)
+            and (item_type is None or all(type(v) is item_type for v in value)))
 
 
 # ------------------------------------------------------------ OQFE pieces
@@ -128,12 +137,16 @@ class OqfeBobView:
 
 # ------------------------------------------------- OQFE after key generation
 
-def _expect_rsp_report(ep: Endpoint, site) -> list:
-    """Bob's rsp.meas report, a (y, w) pair; rsp_alice_decode checks each."""
+def _expect_rsp_report(ep: Endpoint, kp: TrapdoorKeypair, site):
+    """Bob's rsp.meas report, a (y, w) pair, and Alice's decoding of it
+    under kp; returns (report, decoded).  rsp_alice_decode checks y and w."""
     report = ep.expect("rsp.meas").value()
-    if not (isinstance(report, (list, tuple)) and len(report) == 2):
+    if not _is_seq(report, 2):
         raise ProtocolAbort("rsp", site, "measurement report is not a (y, w) pair")
-    return report
+    try:
+        return report, rsp.rsp_alice_decode(kp, *report)
+    except rsp.RspAbort as exc:
+        raise ProtocolAbort("rsp", site, str(exc)) from exc
 
 
 def _oqfe_alice_steps(ep: Endpoint, b: int, kp: TrapdoorKeypair,
@@ -141,11 +154,7 @@ def _oqfe_alice_steps(ep: Endpoint, b: int, kp: TrapdoorKeypair,
     """Alice once Bob holds her key: decode his RSP report, mask, send
     delta, decode his result."""
     view = OqfeAliceView(b=b)
-    y, w = _expect_rsp_report(ep, None)
-    try:
-        dec = rsp.rsp_alice_decode(kp, y, w)
-    except rsp.RspAbort as exc:
-        raise ProtocolAbort("rsp", None, str(exc)) from exc
+    (y, w), dec = _expect_rsp_report(ep, kp, None)
     view.y, view.w_meas = tuple(y), tuple(w)
     view.theta1, view.theta2 = dec.theta1, dec.theta2
     view.r_a = coins.child("mask").bit()
@@ -199,18 +208,11 @@ def oqfe_sh_bob(ep: Endpoint, psi_in: StateVector, params: LatticeParams,
 # derives the keypair from both shares and proves that derivation.  The two
 # halves of her side are separate so scripted cheats can deviate between.
 
-def _prove_keygen(params: LatticeParams, auth: zk.ZkAuthority,
-                  statement: tuple, witness) -> bytes:
-    """Alice's key-generation proof token for (com_f, r_f_bob, pk_bytes)."""
-    session = zk.new_session(zk.rel_keygen(params), statement, "prover", auth)
-    return zk.prove(session, witness)[0]
-
-
 def _verify_keygen(params: LatticeParams, auth: zk.ZkAuthority,
                    statement: tuple, token, site) -> zk.ZkSession:
     """Bob's check of one key-generation proof; aborts on rejection."""
-    session = zk.new_session(zk.rel_keygen(params), statement, "verifier", auth)
-    if zk.verify(session, [token]) != "accept":
+    session = zk.ZkSession(zk.rel_keygen(params), statement, auth)
+    if zk.verify(session, token) != "accept":
         raise ProtocolAbort("keygen-proof", site, "key generation proof rejected")
     return session
 
@@ -221,7 +223,9 @@ def _alice_coin_toss(ep: Endpoint, coins: CoinSource):
     r_f_a = coins.child("coinshare").take_bytes(32)
     com_f, dec_f = commit(r_f_a, coins.child("comf"))
     ep.send("q2pc.commit", com_f)
-    return r_f_a, com_f, dec_f, ep.expect("q2pc.coin").value()
+    r_f_b = ep.expect("q2pc.coin").value()
+    _check_coin_shares([r_f_b], 1)
+    return r_f_a, com_f, dec_f, r_f_b
 
 
 def _alice_publish_key(ep: Endpoint, params: LatticeParams,
@@ -229,7 +233,7 @@ def _alice_publish_key(ep: Endpoint, params: LatticeParams,
                        kp: TrapdoorKeypair, witness) -> None:
     """Send the public key with a key-generation proof for witness."""
     pk_bytes = kp.public.to_bytes()
-    token = _prove_keygen(params, auth, (com_f, r_f_b, pk_bytes), witness)
+    token = zk.prove(zk.rel_keygen(params), (com_f, r_f_b, pk_bytes), witness, auth)
     ep.send("rsp.key", pk_bytes)
     ep.send("zk.token", token)
 
@@ -270,14 +274,29 @@ class Q2pcAliceResult:
     r_mask: dict = field(default_factory=dict)
 
 
-def _expect_outcome(ep: Endpoint, phase: str, site) -> int:
-    """Bob's outcome bit for site, which must be the site measured next."""
-    tag, i, j, bit = ep.expect("q2pc.outcome").value()
-    if (tag, i, j) != ("site", *site):
-        raise ProtocolAbort(phase, site, "outcome out of order")
-    if bit not in (0, 1):
-        raise ProtocolAbort(phase, site, "outcome is not a bit")
-    return bit
+# Bob's q2pc.outcome reports are (tag, i, j, *values), one int (never a
+# bool) below each bound: the outcome of a measured site, or a merge's (u, t)
+_OUTCOMES = {"site": ("outcome", (2,), "a bit"),
+             "merge": ("merge report", (8, 2), "an angle and a bit")}
+
+
+def _expect_outcome(ep: Endpoint, phase: str, site, tag: str = "site") -> list:
+    """The values of Bob's next q2pc.outcome report, which must name site,
+    the one due next."""
+    noun, bounds, kind = _OUTCOMES[tag]
+    value = ep.expect("q2pc.outcome").value()
+    if _is_seq(value) and tuple(value[:3]) != (tag, *site):
+        raise ProtocolAbort(phase, site, f"{noun} out of order")
+    if not (_is_seq(value, 3 + len(bounds)) and all(
+            type(v) is int and 0 <= v < bound for v, bound in zip(value[3:], bounds))):
+        raise ProtocolAbort(phase, site, f"{noun} is not {kind}")
+    return value[3:]
+
+
+def _check_coin_shares(shares, count: int) -> None:
+    """Bob's coin shares: a list of count 32-byte strings."""
+    if not (_is_seq(shares, count, bytes) and all(len(r) == 32 for r in shares)):
+        raise ProtocolAbort("setup", None, f"coin shares are not {count} x 32 bytes")
 
 
 def q2pc_alice(ep: Endpoint, pattern: BrickworkPattern, params: LatticeParams,
@@ -299,14 +318,15 @@ def q2pc_alice(ep: Endpoint, pattern: BrickworkPattern, params: LatticeParams,
              [com_phi[s] for s in sites],
              [com_f[s, run] for s in sites for run in (0, 1)]))
     bob_shares = ep.expect("q2pc.coin").value()
+    _check_coin_shares(bob_shares, 2 * len(sites))
     kps: dict[tuple, TrapdoorKeypair] = {}
     tokens = []
     for idx, (s, run) in enumerate(((s, r) for s in sites for r in (0, 1))):
         kps[s, run] = lattice.gen_from_shares(params, shares[s, run],
                                               bob_shares[idx])
         statement = (com_f[s, run], bob_shares[idx], kps[s, run].public.to_bytes())
-        tokens.append(_prove_keygen(params, authority, statement,
-                                    (shares[s, run], dec_f[s, run])))
+        tokens.append(zk.prove(zk.rel_keygen(params), statement,
+                               (shares[s, run], dec_f[s, run]), authority))
     ep.send("rsp.key", [kps[s, run].public.to_bytes()
                         for s in sites for run in (0, 1)])
     ep.send("zk.token", tokens)
@@ -316,23 +336,16 @@ def q2pc_alice(ep: Endpoint, pattern: BrickworkPattern, params: LatticeParams,
     for s in sites:
         result.r_mask[s] = rcoins.bit()
     for s in sites:
-        y1, w1 = _expect_rsp_report(ep, s)
-        y2, w2 = _expect_rsp_report(ep, s)
-        tag, i, j, u, t = ep.expect("q2pc.outcome").value()
-        if (tag, i, j) != ("merge", s[0], s[1]):
-            raise ProtocolAbort("rsp", s, "merge report out of order")
-        try:
-            first = rsp.rsp_alice_decode(kps[s, 0], y1, w1)
-            second = rsp.rsp_alice_decode(kps[s, 1], y2, w2)
-        except rsp.RspAbort as exc:
-            raise ProtocolAbort("rsp", s, str(exc)) from exc
+        _, first = _expect_rsp_report(ep, kps[s, 0], s)
+        _, second = _expect_rsp_report(ep, kps[s, 1], s)
+        u, t = _expect_outcome(ep, "rsp", s, "merge")
         result.thetas[s] = rsp.alice_merge_theta(first, second, Angle8(u), t)
 
     # corrected outcomes so far, one bit per site in measurement order,
     # the latest site in the lowest bit (the mbqc.flow_bits layout)
     s_bar = 0
     for i in range(pattern.n):
-        s_bar = (s_bar << 1) | _expect_outcome(ep, "input-column", (i, 0))
+        s_bar = (s_bar << 1) | _expect_outcome(ep, "input-column", (i, 0))[0]
 
     rel_d = zk.rel_delta()
     for k, s in enumerate(sites, start=pattern.n):
@@ -342,11 +355,10 @@ def q2pc_alice(ep: Endpoint, pattern: BrickworkPattern, params: LatticeParams,
         r = result.r_mask[s]
         delta = mbqc.blind_delta(phi, sX, sZ, result.thetas[s], r)
         statement = (int(delta), sZ, sX, com_phi[s])
-        token = zk.prove(zk.new_session(rel_d, statement, "prover", authority),
-                         (int(phi), dec_phi[s], int(result.thetas[s]), r))[0]
-        ep.send("zk.token", token)
+        witness = (int(phi), dec_phi[s], int(result.thetas[s]), r)
+        ep.send("zk.token", zk.prove(rel_d, statement, witness, authority))
         ep.send("q2pc.delta", (i, j, int(delta), sX, sZ))
-        s_bar = (s_bar << 1) | (_expect_outcome(ep, "measurement", s) ^ r)
+        s_bar = (s_bar << 1) | (_expect_outcome(ep, "measurement", s)[0] ^ r)
     result.output = mbqc.output_bits(pattern.n, s_bar)
     return result
 
@@ -360,15 +372,18 @@ class Q2pcBobResult:
 def q2pc_bob(ep: Endpoint, psi_in: StateVector, params: LatticeParams,
              coins: CoinSource, backend,
              authority: zk.ZkAuthority) -> Q2pcBobResult:
-    skeleton, com_phi_list, com_f_list = ep.expect("q2pc.commit").value()
-    n, m, bridges, input_rows = skeleton
-    shape = BrickworkPattern(n, m, tuple(tuple(Angle8(0) for _ in range(m))
-                                         for _ in range(n)),
-                             tuple(tuple(b) for b in bridges), input_rows)
+    commitments = ep.expect("q2pc.commit").value()
+    if not (_is_seq(commitments, 3) and _is_seq(commitments[0], 4)):
+        raise ProtocolAbort("setup", None, "commitment is not (skeleton, com_phi, com_f)")
+    (n, m, bridges, input_rows), com_phi_list, com_f_list = commitments
+    if not (_is_seq((n, m, input_rows), 3, int) and _is_seq(bridges)
+            and all(_is_seq(b, 2, int) for b in bridges)):
+        raise ProtocolAbort("setup", None, "skeleton is not integers and bridge pairs")
     # fail on a skeleton Bob cannot build before any proof check or RSP run
-    mbqc._check_graph(shape, psi_in.num_qubits)
+    mbqc._check_graph(n, m, psi_in.num_qubits)
+    shape = BrickworkPattern(n, m, ((Angle8(0),) * m,) * n, bridges, input_rows)
     sites = _rsp_sites(shape)
-    if len(com_phi_list) != len(sites) or len(com_f_list) != 2 * len(sites):
+    if not (_is_seq(com_phi_list, len(sites)) and _is_seq(com_f_list, 2 * len(sites))):
         raise ProtocolAbort("setup", None, "commitment count mismatch")
     com_phi = dict(zip(sites, com_phi_list))
     bob_shares = [coins.child(f"coin/{k}").take_bytes(32)
@@ -376,7 +391,7 @@ def q2pc_bob(ep: Endpoint, psi_in: StateVector, params: LatticeParams,
     ep.send("q2pc.coin", bob_shares)
     pk_list = ep.expect("rsp.key").value()
     tokens = ep.expect("zk.token").value()
-    if len(pk_list) != 2 * len(sites) or len(tokens) != 2 * len(sites):
+    if not (_is_seq(pk_list, 2 * len(sites)) and _is_seq(tokens, 2 * len(sites))):
         raise ProtocolAbort("keygen-proof", None, "key or token count mismatch")
     for idx, (s, run) in enumerate(((s, r) for s in sites for r in (0, 1))):
         _verify_keygen(params, authority,
@@ -408,12 +423,14 @@ def q2pc_bob(ep: Endpoint, psi_in: StateVector, params: LatticeParams,
     rel_d = zk.rel_delta()
     for s in sites:
         token = ep.expect("zk.token").value()
-        i, j, delta, sX, sZ = ep.expect("q2pc.delta").value()
+        report = ep.expect("q2pc.delta").value()
+        if not _is_seq(report, 5, int):
+            raise ProtocolAbort("measurement", s, "delta report is not five integers")
+        i, j, delta, sX, sZ = report
         if (i, j) != s:
             raise ProtocolAbort("measurement", s, "delta out of order")
         statement = (delta, sZ, sX, com_phi[s])
-        session = zk.new_session(rel_d, statement, "verifier", authority)
-        if zk.verify(session, [token]) != "accept":
+        if zk.verify(zk.ZkSession(rel_d, statement, authority), token) != "accept":
             # abort-before-leak: the site is never measured
             raise ProtocolAbort("measurement", s, "blind-angle proof rejected")
         bit, state = qsim.measure(state, 0, Angle8(delta), mcoins)
@@ -423,6 +440,13 @@ def q2pc_bob(ep: Endpoint, psi_in: StateVector, params: LatticeParams,
 
 
 # ------------------------------------------------------------ thread driver
+
+def seeded_session(seed: bytes, alice: str = "alice", bob: str = "bob"):
+    """The one way a seed becomes a two-party run: (session id, the first
+    party's coins, the second party's coins), each coin stream named."""
+    return (coin_source(seed, "session").take_bytes(16),
+            coin_source(seed, alice), coin_source(seed, bob))
+
 
 def run_pair(alice_fn, bob_fn, session_id: bytes):
     """Run the two party functions over an in-process channel, Bob on a
@@ -468,9 +492,7 @@ def oqfe_run(b: int, psi_in: StateVector, params: LatticeParams,
              seed: bytes, mode: str = "sh", backend=rsp.rsp_bob_quantum,
              authority: zk.ZkAuthority | None = None):
     """Single-process OQFE run; returns (alice view, bob view, endpoints)."""
-    acoins = coin_source(seed, "alice")
-    bcoins = coin_source(seed, "bob")
-    sid = coin_source(seed, "session").take_bytes(16)
+    sid, acoins, bcoins = seeded_session(seed)
     if mode == "sh":
         alice = lambda ep: oqfe_sh_alice(ep, b, params, acoins)
         bob = lambda ep: oqfe_sh_bob(ep, psi_in, params, bcoins, backend)
@@ -487,9 +509,7 @@ def q2pc_run(pattern: BrickworkPattern, psi_in: StateVector,
              params: LatticeParams, seed: bytes,
              backend=rsp.rsp_bob_quantum,
              authority: zk.ZkAuthority | None = None):
-    acoins = coin_source(seed, "alice")
-    bcoins = coin_source(seed, "bob")
-    sid = coin_source(seed, "session").take_bytes(16)
+    sid, acoins, bcoins = seeded_session(seed)
     auth = authority or zk.ZkAuthority()
     alice = lambda ep: q2pc_alice(ep, pattern, params, acoins, auth)
     bob = lambda ep: q2pc_bob(ep, psi_in, params, bcoins, backend, auth)

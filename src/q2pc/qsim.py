@@ -43,9 +43,13 @@ class QsimError(Exception):
 
 class Angle8(int):
     """Angle in units of pi/4, wrapping mod 8. The OQFE sub-protocols only
-    ever produce even values (units of pi/2); call sites assert that."""
+    ever produce even values (units of pi/2); call sites assert that.  Only
+    an int or a numpy integer is an angle: 2.5, "3" or True is a QsimError,
+    never truncated."""
 
     def __new__(cls, value: int):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise QsimError(f"angle {value!r} is not an integer")
         return super().__new__(cls, int(value) % 8)
 
     def __add__(self, other):
@@ -130,8 +134,6 @@ _ROTATIONS: dict = {}
 
 def _rotation(kind: str, angle) -> np.ndarray:
     """The RZ or RX matrix at an integer angle, built once per Angle8 value."""
-    if isinstance(angle, bool) or not isinstance(angle, (int, np.integer)):
-        raise QsimError(f"angle {angle!r} is not an integer")
     key = (kind, Angle8(angle))
     mat = _ROTATIONS.get(key)
     if mat is None:

@@ -13,10 +13,9 @@ escrowed witness -- the extractor's power against a convincing prover,
 exact here because the backend is ideal.
 
 The escrow lives in one process, so protocols that exercise extraction run
-on the in-process transport.  There is no global escrow: every session and
-simulation names its ZkAuthority, and a run creates its own, so witnesses
-of one run never meet those of another.  The interface passes message sequences, not
-single values, so a concrete argument system can be dropped in later.
+on the in-process transport.  There is no global escrow: every proof,
+session and simulation names its ZkAuthority, and a run creates its own,
+so witnesses of one run never meet those of another.
 """
 
 from __future__ import annotations
@@ -62,69 +61,56 @@ def proof_token(relation: Relation, statement) -> bytes:
                   + sha256(canonical_encode(statement)))
 
 
-@dataclass
-class ZkSession:
-    relation: Relation
-    statement: object
-    role: str                     # "prover" | "verifier"
-    authority: ZkAuthority
-    verdict: str = "pending"
-
-
 def _check_authority(authority) -> None:
     # fail at the call, not later inside prove() or verify()
     if not isinstance(authority, ZkAuthority):
         raise ZkError(f"a ZkAuthority is required, got {type(authority).__name__}")
 
 
-def new_session(relation: Relation, statement, role: str,
-                authority: ZkAuthority) -> ZkSession:
-    if role not in ("prover", "verifier"):
-        raise ZkError(f"unknown role {role!r}")
+@dataclass
+class ZkSession:
+    """The verifier's view of one proof; verify() records its verdict."""
+    relation: Relation
+    statement: object
+    authority: ZkAuthority
+    verdict: str = "pending"
+
+    def __post_init__(self):
+        _check_authority(self.authority)
+
+
+def prove(relation: Relation, statement, witness,
+          authority: ZkAuthority) -> bytes:
+    """Escrow the witness, return the attestation token (a dishonest prover
+    may deposit a false witness; verify rejects it)."""
     _check_authority(authority)
-    return ZkSession(relation, statement, role, authority)
+    token = proof_token(relation, statement)
+    authority.deposit(token, witness)
+    return token
 
 
-def prove(session: ZkSession, witness) -> list[bytes]:
-    """Escrow the witness, emit the attestation token (a dishonest prover may
-    deposit a false witness; verify rejects it)."""
-    if session.role != "prover":
-        raise ZkError("prove() is the prover's move")
-    token = proof_token(session.relation, session.statement)
-    session.authority.deposit(token, witness)
-    return [token]
-
-
-def simulate(relation: Relation, statement,
-             authority: ZkAuthority) -> list[bytes]:
+def simulate(relation: Relation, statement, authority: ZkAuthority) -> bytes:
     """Witness-free proof; byte-identical token to an honest prover's."""
     _check_authority(authority)
     token = proof_token(relation, statement)
     authority.deposit(token, _SIMULATED)
-    return [token]
+    return token
 
 
-def verify(session: ZkSession, messages) -> str:
-    if len(messages) != 1 or not isinstance(messages[0], bytes):
-        raise ZkError("malformed proof message sequence")
-    token = messages[0]
-    if token != proof_token(session.relation, session.statement):
-        session.verdict = "reject"   # statement binding
-        return session.verdict
-    witness = session.authority.lookup(token)
-    if witness is None:
-        session.verdict = "reject"
-        return session.verdict
+def verify(session: ZkSession, token) -> str:
+    """"accept" or "reject" for the token received, stored on the session;
+    any value but the statement's token is rejected (statement binding)."""
+    rel, statement = session.relation, session.statement
+    witness = None
+    if isinstance(token, bytes) and token == proof_token(rel, statement):
+        witness = session.authority.lookup(token)
     if witness is _SIMULATED:
-        if session.relation.decide is None:
-            session.verdict = "reject"
-        else:
-            session.verdict = "accept" if session.relation.decide(session.statement) else "reject"
-        return session.verdict
-    try:
-        ok = bool(session.relation.predicate(session.statement, witness))
-    except Exception:
-        ok = False
+        ok = rel.decide is not None and bool(rel.decide(statement))
+    else:
+        try:
+            ok = witness is not None and bool(rel.predicate(statement, witness))
+        except Exception:
+            ok = False
     session.verdict = "accept" if ok else "reject"
     return session.verdict
 
@@ -137,14 +123,6 @@ def extract(session: ZkSession):
     if witness is None or witness is _SIMULATED:
         raise ZkError("no extractable witness (simulated proof)")
     return witness
-
-
-def run_proof(relation: Relation, statement, witness,
-              authority: ZkAuthority) -> tuple[ZkSession, str]:
-    """Both roles in sequence; returns the verifier session and its verdict."""
-    msgs = prove(new_session(relation, statement, "prover", authority), witness)
-    ver = new_session(relation, statement, "verifier", authority)
-    return ver, verify(ver, msgs)
 
 
 # ---------------------------------------------------------- the relations

@@ -163,6 +163,38 @@ def test_input_file(tmp_path, capsys):
     assert cli.main(["oqfe", "run", "--input-file", str(path)]) == 2
 
 
+@pytest.mark.parametrize("experiment", ["simulator-tv", "oqfe-correctness"])
+def test_one_qubit_experiments_read_the_input_file(tmp_path, capsys, experiment):
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps([[0.0, 0.0], [1.0, 0.0]]))
+    named = run(capsys, "experiment", experiment, "--input", "one")
+    assert run(capsys, "experiment", experiment, "--input-file", str(path)) == named
+    assert named != run(capsys, "experiment", experiment, "--input", "plus")
+    assert cli.main(["experiment", experiment, "--input-file",
+                     str(tmp_path / "missing.json")]) == 2
+
+
+def pattern_over_budget(directory, rows: int = 25):
+    """A well-formed rows x 1 pattern file, one qubit over the dense budget."""
+    path = directory / f"rows{rows}.json"
+    path.write_text(json.dumps({"format": 1, "n": rows, "m": 1,
+                                "phi": [[0]] * rows}))
+    return path
+
+
+@pytest.mark.parametrize("argv", [["q2pc", "run"],
+                                  ["experiment", "q2pc-correctness"],
+                                  ["compile", "fullsim"]])
+def test_pattern_over_the_dense_budget_exit_2(tmp_path, capsys, monkeypatch, argv):
+    def no_state(*_args):
+        raise AssertionError("an input state was built")
+    monkeypatch.setattr(cli, "resolve_input", no_state)
+    code = cli.main(argv + ["--pattern", str(pattern_over_budget(tmp_path))])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "dense budget" in captured.err and "Traceback" not in captured.err
+
+
 def test_stdout_is_deterministic(capsys):
     argv = ["q2pc", "run", "--pattern", "brick:1,3", "--input", "plus",
             "--seed", "17"]
@@ -249,11 +281,12 @@ def fuzz_values(tmp_path_factory):
     (tmp / "binary.json").write_bytes(b"\xff\xfe\x00")
     files = [str(tmp / name) for name in
              ("garbage.json", "object.json", "binary.json", "missing.json")]
+    over_budget = str(pattern_over_budget(tmp))
     # a well-formed --listen would block in accept, so listen values are
     # never well-formed; connect reaches only a closed local port
     bad_peers = ["nohost", "127.0.0.1:", "127.0.0.1:x", ":1", "127.0.0.1:70000"]
     return {
-        "pattern": files + ["identity", "brick:1,3", "nope", "brick:x", ""],
+        "pattern": files + [over_budget, "identity", "brick:1,3", "nope", "brick:x", ""],
         "replay": files,
         "input_file": files,
         "connect": bad_peers + [f"127.0.0.1:{_closed_local_port()}"],

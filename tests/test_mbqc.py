@@ -269,6 +269,13 @@ def test_nonzero_input_column_angle_rejected():
         BrickworkPattern(1, 2, ((Angle8(1), Angle8(0)),))
 
 
+@pytest.mark.parametrize("angle", [2.5, "3", True])
+def test_non_integer_angle_rejected(angle):
+    # stored as given or refused, never truncated to phi = 2
+    with pytest.raises(qsim.QsimError):
+        BrickworkPattern(1, 2, ((Angle8(0), angle),))
+
+
 def test_bad_bridge_rejected():
     with pytest.raises(mbqc.MbqcError):
         BrickworkPattern(1, 2, ((Angle8(0), Angle8(0)),), bridges=((0, 1),))

@@ -390,18 +390,47 @@ def test_semi_honest_bob_aborts_on_a_malformed_key(payload):
         ("rsp", None, "malformed public key")
 
 
-def run_rewritten_oqfe(party, msg_type, script):
-    """A semi-honest OQFE session whose alice or bob rewrites each
-    msg_type value it sends by script(value)."""
+def _rewriter(party, msg_type, script):
+    """wrap(side, ep): ep, rewritten by script if side is party."""
     def wrap(side, ep):
         return _Rewriting(ep, msg_type, script) if side == party else ep
+    return wrap
+
+
+def run_rewritten_oqfe(party, msg_type, script, mode="sh"):
+    """An OQFE session (semi-honest or malicious-Alice) whose alice or bob
+    rewrites each msg_type value it sends by script(value)."""
+    wrap = _rewriter(party, msg_type, script)
+    alice, bob = {"sh": (protocols.oqfe_sh_alice, protocols.oqfe_sh_bob),
+                  "mal": (protocols.oqfe_mal_alice, protocols.oqfe_mal_bob)}[mode]
+    escrow = () if mode == "sh" else (zk.ZkAuthority(),)
     return protocols.run_pair(
-        lambda ep: protocols.oqfe_sh_alice(wrap("alice", ep), 1, TINY,
-                                           coin_source(seeded(9), "alice")),
-        lambda ep: protocols.oqfe_sh_bob(wrap("bob", ep), INPUTS["plus"], TINY,
-                                         coin_source(seeded(9), "bob"),
-                                         rsp.rsp_bob_shortcut),
+        lambda ep: alice(wrap("alice", ep), 1, TINY,
+                         coin_source(seeded(9), "alice"), *escrow),
+        lambda ep: bob(wrap("bob", ep), INPUTS["plus"], TINY,
+                       coin_source(seeded(9), "bob"), rsp.rsp_bob_shortcut, *escrow),
         bytes(16))
+
+
+def run_rewritten_q2pc(party, msg_type, script):
+    """A blind rx_teleport run (one RSP site, (0, 1)) whose alice or bob
+    rewrites each msg_type value it sends by script(value)."""
+    wrap = _rewriter(party, msg_type, script)
+    pattern = mbqc.PATTERN_LIBRARY["rx_teleport"](Angle8(1))
+    auth = zk.ZkAuthority()
+    return protocols.run_pair(
+        lambda ep: protocols.q2pc_alice(wrap("alice", ep), pattern, TINY,
+                                        coin_source(seeded(9), "alice"), auth),
+        lambda ep: protocols.q2pc_bob(wrap("bob", ep), INPUTS["plus"], TINY,
+                                      coin_source(seeded(9), "bob"),
+                                      rsp.rsp_bob_shortcut, auth),
+        bytes(16))
+
+
+def aborts_at(run) -> tuple:
+    with pytest.raises(protocols.ProtocolAbort) as info:
+        run()
+    return info.value.phase, info.value.site
 
 
 @pytest.mark.parametrize("delta", ["x", None, [1], "3", True, 2 ** 40, 3, -2, 8],
@@ -439,6 +468,100 @@ def test_alice_aborts_on_a_malformed_result(result):
         run_rewritten_oqfe("bob", "oqfe.result", lambda _value: result)
     assert (info.value.phase, info.value.site, info.value.cause) == \
         ("measurement", None, "result is not two bits")
+
+
+# ------------------------------------------- proof tokens on the wire
+
+NOT_A_TOKEN = {"none": lambda token: None, "int": lambda token: 5,
+               "wrapped": lambda token: [token]}
+
+
+@pytest.mark.parametrize("forge", NOT_A_TOKEN.values(), ids=NOT_A_TOKEN.keys())
+def test_a_token_that_is_not_bytes_aborts(forge):
+    # the verifier judges whatever arrives: a rejection, never a ZkError
+    assert aborts_at(lambda: run_rewritten_oqfe(
+        "alice", "zk.token", forge, mode="mal")) == ("keygen-proof", None)
+    # q2pc: the first zk.token is the keygen token list, then one blind-angle
+    # token per site
+    assert aborts_at(lambda: run_rewritten_q2pc(
+        "alice", "zk.token", lambda value: [forge(value[0]), *value[1:]]
+        if isinstance(value, list) else value)) == ("keygen-proof", (0, 1))
+    assert aborts_at(lambda: run_rewritten_q2pc(
+        "alice", "zk.token", lambda value: value if isinstance(value, list)
+        else forge(value))) == ("measurement", (0, 1))
+
+
+# ------------------------------------ q2pc parties refuse malformed values
+
+def _merge(script):
+    return lambda value: script(value) if value[0] == "merge" else value
+
+
+def _site(script):
+    return lambda value: script(value) if value[0] == "site" else value
+
+
+MALFORMED_OUTCOMES = {
+    "merge-none": (_merge(lambda v: None), "rsp", (0, 1)),
+    "merge-u-str": (_merge(lambda v: (*v[:3], "x", v[4])), "rsp", (0, 1)),
+    "merge-u-eight": (_merge(lambda v: (*v[:3], 8, v[4])), "rsp", (0, 1)),
+    "merge-t-five": (_merge(lambda v: (*v[:4], 5)), "rsp", (0, 1)),
+    "merge-t-bool": (_merge(lambda v: (*v[:4], bool(v[4]))), "rsp", (0, 1)),
+    "merge-short": (_merge(lambda v: v[:4]), "rsp", (0, 1)),
+    "site-none": (_site(lambda v: None), "input-column", (0, 0)),
+    "site-bool": (_site(lambda v: (*v[:3], bool(v[3]))), "input-column", (0, 0)),
+}
+
+
+@pytest.mark.parametrize("script, phase, site", MALFORMED_OUTCOMES.values(),
+                         ids=MALFORMED_OUTCOMES.keys())
+def test_q2pc_alice_aborts_on_a_malformed_outcome_report(script, phase, site):
+    assert aborts_at(lambda: run_rewritten_q2pc(
+        "bob", "q2pc.outcome", script)) == (phase, site)
+
+
+MALFORMED_SHARES = {"none": None, "short": b"\x00" * 31, "str": "0" * 32,
+                    "list": [b"\x00" * 32]}
+
+
+@pytest.mark.parametrize("share", MALFORMED_SHARES.values(), ids=MALFORMED_SHARES.keys())
+def test_alice_aborts_on_a_malformed_coin_share(share):
+    assert aborts_at(lambda: run_rewritten_oqfe(
+        "bob", "q2pc.coin", lambda _value: share, mode="mal")) == ("setup", None)
+    assert aborts_at(lambda: run_rewritten_q2pc(
+        "bob", "q2pc.coin", lambda value: [share, *value[1:]])) == ("setup", None)
+
+
+@pytest.mark.parametrize("script", [lambda v: None, lambda v: v[:1]], ids=["none", "one"])
+def test_q2pc_alice_aborts_on_a_malformed_coin_list(script):
+    assert aborts_at(lambda: run_rewritten_q2pc("bob", "q2pc.coin", script)) == \
+        ("setup", None)
+
+
+def _skeleton(script):
+    return lambda value: (script(value[0]), *value[1:])
+
+
+MALFORMED_ALICE_VALUES = {
+    "commit-none": ("q2pc.commit", lambda v: None, ("setup", None)),
+    "commit-pair": ("q2pc.commit", lambda v: v[:2], ("setup", None)),
+    "skeleton-n-str": ("q2pc.commit", _skeleton(lambda k: ("1", *k[1:])),
+                       ("setup", None)),
+    "bridges-none": ("q2pc.commit", _skeleton(lambda k: (*k[:2], None, k[3])),
+                     ("setup", None)),
+    "com-phi-none": ("q2pc.commit", lambda v: (v[0], None, v[2]), ("setup", None)),
+    "keys-none": ("rsp.key", lambda v: None, ("keygen-proof", None)),
+    "tokens-int": ("zk.token", lambda v: 5 if isinstance(v, list) else v,
+                   ("keygen-proof", None)),
+    "delta-none": ("q2pc.delta", lambda v: None, ("measurement", (0, 1))),
+    "delta-four": ("q2pc.delta", lambda v: v[:4], ("measurement", (0, 1))),
+}
+
+
+@pytest.mark.parametrize("msg_type, script, where", MALFORMED_ALICE_VALUES.values(),
+                         ids=MALFORMED_ALICE_VALUES.keys())
+def test_q2pc_bob_aborts_on_a_malformed_value(msg_type, script, where):
+    assert aborts_at(lambda: run_rewritten_q2pc("alice", msg_type, script)) == where
 
 
 @pytest.mark.parametrize("mode", ["sh", "mal"])

@@ -25,6 +25,18 @@ def test_angle8_wraps():
     assert Angle8(2) - 5 == 5
     assert (Angle8(3) * 2) == 6
     assert Angle8(6).is_even and not Angle8(3).is_even
+    assert Angle8(np.int64(-3)) == 5
+
+
+@pytest.mark.parametrize("value", [2.5, np.float64(2.0), "3", True, np.bool_(True),
+                                   None, [2]])
+def test_angle8_refuses_non_integers(value):
+    # an angle is a count of pi/4: nothing is truncated to one, so a state
+    # never silently uses a different angle
+    with pytest.raises(qsim.QsimError):
+        Angle8(value)
+    with pytest.raises(qsim.QsimError):
+        plus_state(value)
 
 
 def test_h_on_zero():

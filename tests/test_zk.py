@@ -17,17 +17,24 @@ def fresh_auth():
     return zk.ZkAuthority()
 
 
+def run_proof(relation, statement, witness, authority):
+    """Prover then verifier; returns the verifier session and its verdict."""
+    token = zk.prove(relation, statement, witness, authority)
+    session = zk.ZkSession(relation, statement, authority)
+    return session, zk.verify(session, token)
+
+
 def test_commitment_relation_honest_accept():
     coins = coin_source(b"\x01" * 32, "zk")
     com, dec = commit(b"hello", coins)
-    _, verdict = zk.run_proof(rel_opening(), (com,), (b"hello", dec), fresh_auth())
+    _, verdict = run_proof(rel_opening(), (com,), (b"hello", dec), fresh_auth())
     assert verdict == "accept"
 
 
 def test_commitment_relation_wrong_message_rejects():
     coins = coin_source(b"\x01" * 32, "zk")
     com, dec = commit(b"hello", coins)
-    _, verdict = zk.run_proof(rel_opening(), (com,), (b"other", dec), fresh_auth())
+    _, verdict = run_proof(rel_opening(), (com,), (b"other", dec), fresh_auth())
     assert verdict == "reject"
 
 
@@ -37,7 +44,7 @@ def test_completeness_many_random_sessions():
     for i in range(200):
         msg = coins.take_bytes(8)
         com, dec = commit(msg, coins)
-        session, verdict = zk.run_proof(rel, (com,), (msg, dec), fresh_auth())
+        session, verdict = run_proof(rel, (com,), (msg, dec), fresh_auth())
         assert verdict == "accept"
         assert zk.extract(session) == (msg, dec)
 
@@ -45,7 +52,7 @@ def test_completeness_many_random_sessions():
 def test_extract_before_accept_raises():
     rel = rel_opening()
     auth = fresh_auth()
-    session = zk.new_session(rel, (b"x",), "verifier", auth)
+    session = zk.ZkSession(rel, (b"x",), auth)
     with pytest.raises(zk.ZkError):
         zk.extract(session)
 
@@ -54,7 +61,7 @@ def test_extract_after_reject_raises():
     rel = rel_opening()
     coins = coin_source(b"\x03" * 32, "zk")
     com, dec = commit(b"m", coins)
-    session, verdict = zk.run_proof(rel, (com,), (b"wrong", dec), fresh_auth())
+    session, verdict = run_proof(rel, (com,), (b"wrong", dec), fresh_auth())
     assert verdict == "reject"
     with pytest.raises(zk.ZkError):
         zk.extract(session)
@@ -66,9 +73,33 @@ def test_statement_binding_replayed_token_rejected():
     coins = coin_source(b"\x04" * 32, "zk")
     com, dec = commit(b"m", coins)
     other_com, _ = commit(b"m2", coins)
-    msgs = zk.prove(zk.new_session(rel, (com,), "prover", auth), (b"m", dec))
-    other = zk.new_session(rel, (other_com,), "verifier", auth)
-    assert zk.verify(other, msgs) == "reject"
+    token = zk.prove(rel, (com,), (b"m", dec), auth)
+    other = zk.ZkSession(rel, (other_com,), auth)
+    assert zk.verify(other, token) == "reject"
+
+
+NOT_THE_TOKEN = {
+    "none": lambda token: None,
+    "int": lambda token: 5,
+    "str": lambda token: token.hex(),
+    "empty-list": lambda token: [],
+    "wrapped": lambda token: [token],
+    "extended": lambda token: token + b"\x00",
+}
+
+
+@pytest.mark.parametrize("forge", NOT_THE_TOKEN.values(), ids=NOT_THE_TOKEN.keys())
+def test_verify_rejects_any_value_but_the_statements_token(forge):
+    # a peer's value is judged, never trusted to be bytes: anything but the
+    # one token for this statement is a rejection, not an exception
+    rel = zk.Relation("truthy", lambda s, w: True)
+    auth = fresh_auth()
+    token = zk.prove(rel, 7, "w", auth)
+    value = forge(token)
+    session = zk.ZkSession(rel, 7, auth)
+    assert zk.verify(session, value) == "reject"
+    assert session.verdict == "reject"
+    assert zk.verify(session, token) == "accept"
 
 
 def test_simulated_token_byte_identical_and_verifies():
@@ -77,29 +108,29 @@ def test_simulated_token_byte_identical_and_verifies():
     com, dec = commit(b"w", coins)
     statement = (com,)
     auth1, auth2 = fresh_auth(), fresh_auth()
-    honest = zk.prove(zk.new_session(rel, statement, "prover", auth1), (b"w", dec))
+    honest = zk.prove(rel, statement, (b"w", dec), auth1)
     rel_sim = zk.Relation(rel.name, rel.predicate,
                           decide=lambda s: True)  # ideal backend knows truth
     simulated = zk.simulate(rel_sim, statement, auth2)
     assert honest == simulated
-    ver = zk.new_session(rel_sim, statement, "verifier", auth2)
+    ver = zk.ZkSession(rel_sim, statement, auth2)
     assert zk.verify(ver, simulated) == "accept"
 
 
 def test_simulate_on_false_statement_rejects():
     rel = zk.Relation("always-false", lambda s, w: False, decide=lambda s: False)
     auth = fresh_auth()
-    msgs = zk.simulate(rel, (1, 2), auth)
-    ver = zk.new_session(rel, (1, 2), "verifier", auth)
-    assert zk.verify(ver, msgs) == "reject"
+    token = zk.simulate(rel, (1, 2), auth)
+    ver = zk.ZkSession(rel, (1, 2), auth)
+    assert zk.verify(ver, token) == "reject"
 
 
 def test_simulated_proof_not_extractable():
     rel = zk.Relation("truthy", lambda s, w: True, decide=lambda s: True)
     auth = fresh_auth()
-    msgs = zk.simulate(rel, 7, auth)
-    ver = zk.new_session(rel, 7, "verifier", auth)
-    assert zk.verify(ver, msgs) == "accept"
+    token = zk.simulate(rel, 7, auth)
+    ver = zk.ZkSession(rel, 7, auth)
+    assert zk.verify(ver, token) == "accept"
     with pytest.raises(zk.ZkError):
         zk.extract(ver)
 
@@ -114,16 +145,16 @@ def test_keygen_relation_accepts_honest_and_rejects_tampered():
     derived = lattice.gen_from_shares(TINY, r_a, r_b)
     assert derived.public.to_bytes() == kp.public.to_bytes()
     good = (com_f, r_b, kp.public.to_bytes())
-    _, verdict = zk.run_proof(rel, good, (r_a, dec_f), fresh_auth())
+    _, verdict = run_proof(rel, good, (r_a, dec_f), fresh_auth())
     assert verdict == "accept"
     # Bob's share flipped after the commitment: key derivation mismatch
     bad = (com_f, bytes([r_b[0] ^ 1]) + r_b[1:], kp.public.to_bytes())
-    _, verdict = zk.run_proof(rel, bad, (r_a, dec_f), fresh_auth())
+    _, verdict = run_proof(rel, bad, (r_a, dec_f), fresh_auth())
     assert verdict == "reject"
     # key not derived from the committed coins
     kp2 = lattice.gen_regular(TINY, coin_source(b"\x06" * 32, "gen"))
     bad2 = (com_f, r_b, kp2.public.to_bytes())
-    _, verdict = zk.run_proof(rel, bad2, (r_a, dec_f), fresh_auth())
+    _, verdict = run_proof(rel, bad2, (r_a, dec_f), fresh_auth())
     assert verdict == "reject"
 
 
@@ -140,16 +171,16 @@ def test_delta_relation_all_angle_combinations():
                         delta = mbqc.blind_delta(Angle8(phi), sX, sZ,
                                                  Angle8(theta), r)
                         st = (int(delta), sZ, sX, com)
-                        _, v = zk.run_proof(rel, st, (phi, dec, theta, r), fresh_auth())
+                        _, v = run_proof(rel, st, (phi, dec, theta, r), fresh_auth())
                         assert v == "accept"
                         bad = (int(delta + Angle8(1)), sZ, sX, com)
-                        _, v = zk.run_proof(rel, bad, (phi, dec, theta, r), fresh_auth())
+                        _, v = run_proof(rel, bad, (phi, dec, theta, r), fresh_auth())
                         assert v == "reject"
 
 
 def test_predicate_exception_treated_as_reject():
     rel = zk.Relation("boom", lambda s, w: 1 / 0)
-    _, verdict = zk.run_proof(rel, 1, 2, fresh_auth())
+    _, verdict = run_proof(rel, 1, 2, fresh_auth())
     assert verdict == "reject"
 
 
@@ -158,17 +189,19 @@ def test_sessions_and_simulations_need_an_explicit_authority():
     # at the call instead of mixing witnesses across runs
     rel = zk.Relation("truthy", lambda s, w: True, decide=lambda s: True)
     with pytest.raises(TypeError):
-        zk.new_session(rel, 7, "prover")
+        zk.prove(rel, 7, "w")
     with pytest.raises(TypeError):
-        zk.ZkSession(rel, 7, "verifier")
+        zk.ZkSession(rel, 7)
     with pytest.raises(TypeError):
         zk.simulate(rel, 7)
     with pytest.raises(TypeError):
-        zk.run_proof(rel, 7, None)
-    # None is no authority either, caught before prove() or verify()
-    with pytest.raises(zk.ZkError):
-        zk.new_session(rel, 7, "prover", None)
-    with pytest.raises(zk.ZkError):
-        zk.new_session(rel, 7, "verifier", None)
-    with pytest.raises(zk.ZkError):
-        zk.simulate(rel, 7, None)
+        run_proof(rel, 7, None)
+    # None (or any non-authority) is no authority either, caught at the
+    # call rather than inside verify()
+    for not_an_authority in (None, "authority"):
+        with pytest.raises(zk.ZkError):
+            zk.prove(rel, 7, "w", not_an_authority)
+        with pytest.raises(zk.ZkError):
+            zk.ZkSession(rel, 7, not_an_authority)
+        with pytest.raises(zk.ZkError):
+            zk.simulate(rel, 7, not_an_authority)
