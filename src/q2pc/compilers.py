@@ -142,7 +142,11 @@ class FullSimResult:
 
 def fullsim_alice(ep: Endpoint, pattern, params: LatticeParams,
                   coins: CoinSource, authority: zk.ZkAuthority) -> FullSimResult:
-    com_y, com_seed = ep.expect("fs.commit").value()
+    commitments = ep.expect("fs.commit").value()
+    if not protocols._is_seq(commitments, 2, bytes):
+        raise protocols.ProtocolAbort("description-proof", None,
+                                      "commitments are not two byte strings")
+    com_y, com_seed = commitments
     token = ep.expect("fs.zk").value()
     if zk.verify(zk.ZkSession(rel_opening(), (com_y,), authority), token) != "accept":
         raise protocols.ProtocolAbort("description-proof", None,
@@ -343,6 +347,9 @@ def zkpoqk_prover(ep: Endpoint, state: StateVector, instance: ToyCpoqk,
                                  authority))
     challenges = [ep.expect("zkpoqk.vmsg").value()
                   for _ in range(instance.rounds)]
+    if not all(type(c) is int and 0 <= c < 1 << instance.nbits for c in challenges):
+        raise protocols.ProtocolAbort("challenge", None,
+                                      f"a challenge is not {instance.nbits} bits")
     answers = toy_prover_answers(state, challenges, coins.child("measure"))
     enc_list = []
     for i, answer in enumerate(answers):

@@ -19,7 +19,14 @@ Conventions (used everywhere, never redeclared):
     (n*m <= MAX_DENSE_QUBITS) holds at most 2**(n*m) amplitudes at every
     step.  measure samples one outcome from a single row;
     enumerate_branches and the MBQC laws keep every row;
-  * global phase is unobservable: state equality is max-overlap >= 1-eps.
+  * global phase is unobservable: state equality is max-overlap >= 1-eps;
+  * scales and norms run as real operations on the amplitudes' float64
+    view: a scale is a multiply by the reciprocal, with the same values as
+    numpy's complex / real, and a norm is one einsum pass.  No amplitude
+    array in the state check or the measurement path reaches a BLAS call
+    (np.dot, np.vdot, np.inner): OpenBLAS threads its dot products above
+    10**4 elements, which costs throughput on a 2-vCPU host running both
+    protocol threads.
 """
 
 from __future__ import annotations
@@ -35,10 +42,28 @@ from .primitives import CoinSource
 MAX_DENSE_QUBITS = 24
 _NORM_TOL = 1e-9
 _DEGENERATE_TOL = 1e-12
+_INV_SQRT2 = 1 / math.sqrt(2)
 
 
 class QsimError(Exception):
     pass
+
+
+def _floats(amps) -> np.ndarray:
+    """amps as contiguous complex128 (no copy if already), as float64 pairs."""
+    return np.ascontiguousarray(amps, dtype=np.complex128).view(np.float64)
+
+
+def _sq_norms(amps) -> np.ndarray:
+    """|amps|^2 of a vector or of each row: one einsum pass, never BLAS."""
+    flat = _floats(amps)
+    return np.einsum("ij,ij->i" if flat.ndim == 2 else "i,i->", flat, flat)
+
+
+def _scaled(amps, scale) -> np.ndarray:
+    """amps * real scale (a scalar, or a column with one per row) on the
+    float64 view; for scale = 1 / d, the values of numpy's complex amps / d."""
+    return (_floats(amps) * scale).view(np.complex128)
 
 
 class Angle8(int):
@@ -90,17 +115,17 @@ class StateVector:
             raise QsimError(f"qubit count {self.num_qubits} outside [0, {MAX_DENSE_QUBITS}]")
         if self.amplitudes.shape != (1 << self.num_qubits,):
             raise QsimError("amplitude array length mismatch")
-        norm = float(np.sum(np.abs(self.amplitudes) ** 2))
+        norm = float(_sq_norms(self.amplitudes))
         if abs(norm - 1.0) > _NORM_TOL:
             raise QsimError(f"state not normalized: {norm}")
 
 
 def make_state(num_qubits: int, amplitudes) -> StateVector:
-    amps = np.asarray(amplitudes, dtype=np.complex128)
-    norm = math.sqrt(float(np.sum(np.abs(amps) ** 2)))
+    amps = np.ascontiguousarray(amplitudes, dtype=np.complex128)
+    norm = math.sqrt(float(_sq_norms(amps)))
     if norm < _DEGENERATE_TOL:
         raise QsimError("zero state")
-    return StateVector(num_qubits, amps / norm)
+    return StateVector(num_qubits, _scaled(amps, 1 / norm))
 
 
 def basis_state(num_qubits: int, index: int) -> StateVector:
@@ -231,13 +256,14 @@ def split_branches(amps: np.ndarray, history: np.ndarray, qubit: int,
         angle = np.asarray(basis)
         if angle.dtype.kind not in "iu":
             raise QsimError(f"unknown basis {basis!r}")
-        hi = hi * _PHASES[angle & 7].reshape(-1, 1, 1)
-        children = np.empty((rows, 2) + lo.shape[1:], dtype=hi.dtype)
+        children = np.empty((rows, 2) + lo.shape[1:], dtype=np.complex128)
+        hi = np.multiply(hi, _PHASES[angle & 7].reshape(-1, 1, 1), out=children[:, 1])
         np.add(lo, hi, out=children[:, 0])
-        np.subtract(lo, hi, out=children[:, 1])
-        np.divide(children, math.sqrt(2), out=children)
+        np.subtract(lo, hi, out=hi)
+        flat = children.view(np.float64)
+        np.multiply(flat, _INV_SQRT2, out=flat)
     children = children.reshape(2 * rows, width >> 1)
-    weights = (children.real ** 2 + children.imag ** 2).sum(axis=1)
+    weights = _sq_norms(children)
     parent = weights.reshape(rows, 2).sum(axis=1)
     keep = weights >= _DEGENERATE_TOL * np.repeat(parent, 2)
     history = ((history << 1)[:, None] | (0, 1)).reshape(-1)
@@ -256,14 +282,15 @@ def measure(state: StateVector, qubit: int, basis,
         raise QsimError(f"qubit {qubit} out of range")
     amps, outcomes = split_branches(state.amplitudes.reshape(1, -1),
                                     np.zeros(1, dtype=np.int64), qubit, basis)
-    probs = (amps.real ** 2 + amps.imag ** 2).sum(axis=1)
+    probs = _sq_norms(amps)
     p1 = float(probs[-1]) if outcomes[-1] == 1 else 0.0
     outcome = 1 if coins.uniform() < p1 else 0
     kept = np.flatnonzero(outcomes == outcome)
     if kept.size == 0:
         raise QsimError("degenerate branch selected")
     k = kept[0]
-    return outcome, StateVector(state.num_qubits - 1, amps[k] / math.sqrt(probs[k]))
+    return outcome, StateVector(state.num_qubits - 1,
+                                _scaled(amps[k], 1 / math.sqrt(probs[k])))
 
 
 def enumerate_branches(state: StateVector, plan) -> list[Branch]:
@@ -288,7 +315,7 @@ def enumerate_branches(state: StateVector, plan) -> list[Branch]:
         amps, history = split_branches(amps, history, cur, basis)
         del live[cur]
     probs = (amps.real ** 2 + amps.imag ** 2).sum(axis=1)
-    residuals = amps / np.sqrt(probs)[:, None]
+    residuals = _scaled(amps, 1 / np.sqrt(probs)[:, None])
     row = np.full(1 << len(plan), -1)   # history -> row, -1 when dropped
     row[history] = np.arange(len(history))
     results = []

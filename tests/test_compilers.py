@@ -6,6 +6,7 @@ import pytest
 from q2pc import channel, compilers, mbqc, protocols, qsim, zk
 from q2pc.profiles import get_profile
 from q2pc.qsim import Angle8
+from test_protocols import _Rewriting
 
 TINY = get_profile("tiny").params
 PAT = mbqc.PATTERN_LIBRARY["rx_teleport"](Angle8(2))
@@ -66,6 +67,21 @@ def test_fullsim_garbage_commitment_aborts_before_inner_run():
     assert exc.value.phase == "description-proof"
 
 
+@pytest.mark.parametrize("commitments", [None, (b"a",), (b"a", "b"), b"ab"],
+                         ids=["none", "one", "str", "bytes"])
+def test_fullsim_alice_aborts_on_malformed_commitments(commitments):
+    sid, acoins, bcoins = protocols.seeded_session(seeded(14), bob="bob-outer")
+    auth = zk.ZkAuthority()
+    with pytest.raises(protocols.ProtocolAbort) as exc:
+        protocols.run_pair(
+            lambda ep: compilers.fullsim_alice(ep, PAT, TINY, acoins, auth),
+            lambda ep: compilers.fullsim_bob(
+                _Rewriting(ep, "fs.commit", lambda _value: commitments),
+                IPLUS, TINY, bcoins, auth),
+            sid)
+    assert (exc.value.phase, exc.value.site) == ("description-proof", None)
+
+
 # --------------------------------------------------- toy inner proof system
 
 def test_toy_instance_needs_enough_rounds():
@@ -99,6 +115,23 @@ def test_toy_prover_answers_from_measured_state():
 
 def run_zkpoqk(i, **kwargs):
     return compilers.zkpoqk_run(0b1011, 4, seeded(i + 400), rounds=6, **kwargs)
+
+
+@pytest.mark.parametrize("challenge", ["x", None, True, -1, 16, [1]],
+                         ids=["str", "none", "bool", "negative", "wide", "list"])
+def test_zkpoqk_prover_aborts_on_a_malformed_challenge(challenge):
+    instance = compilers.toy_instance(11, 4, 6)
+    sid, pcoins, vcoins = protocols.seeded_session(seeded(15), "prover", "verifier")
+    auth = zk.ZkAuthority()
+    with pytest.raises(protocols.ProtocolAbort) as exc:
+        protocols.run_pair(
+            lambda ep: compilers.zkpoqk_prover(ep, compilers.toy_witness_state(11, 4),
+                                               instance, pcoins, auth),
+            lambda ep: compilers.zkpoqk_verifier(
+                _Rewriting(ep, "zkpoqk.vmsg", lambda _value: challenge),
+                instance, vcoins, auth),
+            sid)
+    assert (exc.value.phase, exc.value.site) == ("challenge", None)
 
 
 def test_zkpoqk_honest_accepts():

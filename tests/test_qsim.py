@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from q2pc import lattice, qsim, rsp
 from q2pc import primitives as pr
-from q2pc import qsim
+from q2pc.profiles import get_profile
 from q2pc.qsim import (Angle8, StateVector, apply_gate, basis_state,
                        enumerate_branches, make_state, measure, plus_state,
                        tensor)
@@ -325,3 +326,87 @@ def test_norm_preserved_property(a, b, c):
     st_ = apply_gate(st_, ("RZ", Angle8(c)), 0)
     st_ = apply_gate(st_, ("RX", Angle8(b)), 1)
     assert abs(float(np.sum(np.abs(st_.amplitudes) ** 2)) - 1.0) < 1e-9
+
+
+# ------------------------------------------- kernel arithmetic (float view)
+
+# (rows, qubits per row) up to the 14-qubit preimage register
+KERNEL_SHAPES = [(1, 14), (3, 9), (16, 4), (5, 1)]
+TEXTBOOK_PHASES = np.exp(-0.25j * math.pi * np.arange(8))
+
+
+def random_rows(rows, n, seed=7):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(rows, 1 << n)) + 1j * rng.normal(size=(rows, 1 << n))
+
+
+def textbook_children(amps, qubit, basis):
+    """The children of every row, with numpy's complex division by sqrt(2)."""
+    rows, width = amps.shape
+    parts = amps.reshape(rows, width >> (qubit + 1), 2, 1 << qubit)
+    lo, hi = parts[:, :, 0, :], parts[:, :, 1, :]
+    if isinstance(basis, str):
+        kids = (lo, hi)
+    else:
+        phased = hi * TEXTBOOK_PHASES[np.asarray(basis) & 7].reshape(-1, 1, 1)
+        kids = ((lo + phased) / math.sqrt(2), (lo - phased) / math.sqrt(2))
+    return np.stack(kids, axis=1).reshape(2 * rows, width >> 1)
+
+
+@pytest.mark.parametrize("rows,n", KERNEL_SHAPES)
+def test_split_branches_values_equal_the_textbook_division(rows, n):
+    # the kernel scales by 1/sqrt(2) on the float64 view; every value must
+    # be the complex division's, not merely close to it
+    amps = random_rows(rows, n)
+    history = np.arange(rows, dtype=np.int64)
+    per_row = np.random.default_rng(n).integers(0, 8, size=rows)
+    bases = ["Z", *(Angle8(a) for a in range(8)), per_row]
+    for qubit in sorted({0, n // 2, n - 1}):
+        for basis in bases:
+            got, hist = qsim.split_branches(amps, history, qubit, basis)
+            assert np.array_equal(hist, ((history << 1)[:, None] | (0, 1)).reshape(-1))
+            assert np.array_equal(got, textbook_children(amps, qubit, basis))
+
+
+@pytest.mark.parametrize("basis", ["Z", Angle8(0), Angle8(3)])
+def test_scaled_states_equal_the_textbook_division(basis):
+    amps = random_rows(1, 14)[0]
+    state = make_state(14, amps)
+    flat = amps.view(np.float64)
+    assert np.array_equal(state.amplitudes,
+                          amps / math.sqrt(np.einsum("i,i->", flat, flat)))
+    for qubit in (0, 13):
+        outcome, post = measure(state, qubit, basis, coins(f"scale/{qubit}"))
+        kids = textbook_children(state.amplitudes.reshape(1, -1), qubit, basis)
+        # the kernel's probabilities: one einsum pass over the rows' floats
+        p = np.einsum("ij,ij->i", kids.view(np.float64), kids.view(np.float64))
+        assert np.array_equal(post.amplitudes, kids[outcome] / math.sqrt(p[outcome]))
+    small = make_state(6, random_rows(1, 6)[0])
+    plan = [(2, basis), (5, Angle8(5))]
+    rows = textbook_children(textbook_children(small.amplitudes.reshape(1, -1),
+                                               2, basis), 4, Angle8(5))
+    for branch, row in zip(enumerate_branches(small, plan), rows):
+        assert np.array_equal(branch.residual.amplitudes,
+                              row / math.sqrt(branch.probability))
+
+
+def test_measurement_path_makes_no_blas_call(monkeypatch):
+    # OpenBLAS threads dot products above 10**4 amplitudes, and its worker
+    # competes with the two protocol threads; the kernel's norms are einsum
+    pk = lattice.gen_regular(get_profile("tiny").params, coins("blas/key")).public
+    lattice.image_census(pk)
+    amps = random_rows(1, 14)[0]
+    amps /= np.linalg.norm(amps)
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("BLAS call on amplitudes")
+    for name in ("dot", "vdot", "inner"):
+        monkeypatch.setattr(np, name, refuse)
+    state = StateVector(14, amps)
+    measure(state, 0, Angle8(0), coins("blas/m"))
+    measure(state, 7, "Z", coins("blas/z"))
+    qsim.split_branches(amps.reshape(2, -1), np.zeros(2, dtype=np.int64), 5,
+                        np.array([1, 6]))
+    # raw: the finishing H Rz is a one-qubit gate (apply_gate), not a measurement
+    out = rsp.rsp_bob_quantum(pk, coins("blas/rsp"), raw=True)
+    assert out.state.num_qubits == 1
