@@ -38,8 +38,15 @@ class HarnessError(Exception):
     pass
 
 
-def tv_distance(law_a: dict, law_b: dict) -> float:
-    """Total variation distance 0.5 * sum |pA - pB| over the union support."""
+def tv_distance(law_a, law_b) -> float:
+    """Total variation distance 0.5 * sum |pA - pB|, summed left to right:
+    over the union support of two dict laws, in set-union key order, or
+    over two aligned probability arrays (np.cumsum, never np.sum's
+    pairwise reduction)."""
+    if isinstance(law_a, np.ndarray):
+        if law_a.shape != law_b.shape:
+            raise HarnessError(f"laws of shapes {law_a.shape} and {law_b.shape}")
+        return 0.5 * float(np.cumsum(np.abs(law_a - law_b))[-1])
     keys = set(law_a) | set(law_b)
     return 0.5 * sum(abs(law_a.get(k, 0.0) - law_b.get(k, 0.0)) for k in keys)
 
@@ -84,6 +91,10 @@ def sampled_threshold(trials: int) -> float:
 
 # --------------------------------------------------------- OQFE exact laws
 
+# (m0, m1, s_bar) of each entry of an oqfe_bob_branches row, in index order
+_BOB_BRANCHES = list(itertools.product((0, 1), repeat=3))
+
+
 def born_rx_law(psi_in: StateVector, b: int) -> dict:
     """The ideal functionality: s_b = M_Z[Rx(-b*pi/2) |psi_in>]."""
     rot = qsim.apply_gate(psi_in, ("RX", Angle8(-2 * b)), 0)
@@ -95,11 +106,13 @@ def oqfe_output_law_exact(psi_in: StateVector, b: int) -> dict:
     """Exact decoded-output law of the semi-honest protocol: enumerate the
     theta bits and mask uniformly, Bob's circuit branches with Born weights,
     then Alice's decode."""
+    cases = list(itertools.product((0, 1), repeat=3))
+    probs = protocols.oqfe_bob_branches(psi_in, [
+        (qsim.plus_state(Angle8(4 * theta1 + 2 * theta2)),
+         protocols.oqfe_delta(b, theta2, r_a)) for theta1, theta2, r_a in cases])
     law = {0: 0.0, 1: 0.0}
-    for theta1, theta2, r_a in itertools.product((0, 1), repeat=3):
-        psi_a = qsim.plus_state(Angle8(4 * theta1 + 2 * theta2))
-        delta = protocols.oqfe_delta(b, theta2, r_a)
-        for m0, _m1, s_bar, p in protocols.oqfe_bob_branches(psi_in, psi_a, delta):
+    for (theta1, _theta2, r_a), row in zip(cases, probs.reshape(len(cases), -1).tolist()):
+        for (m0, _m1, s_bar), p in zip(_BOB_BRANCHES, row):
             if p == 0.0:
                 continue
             s_b = protocols.oqfe_decode(b, theta1, r_a, m0, s_bar)
@@ -172,14 +185,18 @@ def backend_equivalence_experiment(profile: str | Profile = "tiny",
 
     Exact mode decomposes the joint (y, w) law per image point; the analytic
     w formula is validated against dense branch enumeration of the quantum
-    measurements on validate_points image points.  Sampling mode runs both
-    backends and compares empirical y marginals."""
+    measurements on the first validate_points two-preimage points (an int
+    >= 0, else HarnessError), each pair of w laws a length-2^W array whose
+    TV is summed left to right.  Sampling mode runs both backends and
+    compares empirical y marginals."""
+    if type(validate_points) is not int or validate_points < 0:
+        raise HarnessError(f"validate_points must be an int >= 0, got {validate_points!r}")
     prof = get_profile(profile) if isinstance(profile, str) else profile
     kp = lattice.gen_regular(prof.params, coin_source(key_seed, "gen"))
     if trials is None:
         census = lattice.image_census(kp.public)
-        regular = [bits for bits in census.hardcore_bits() if len(bits) == 2]
-        p_y = 1.0 / len(regular)
+        bits = census.regular_hardcore_bits()
+        p_y = 1.0 / len(bits)
         # Both backends draw y uniformly over the regular image and then w
         # from the same per-point conditional, so the transcript TV is the
         # y-average of the per-point w-law TVs.  Where the dense quantum
@@ -189,10 +206,8 @@ def backend_equivalence_experiment(profile: str | Profile = "tiny",
         # all 2^W strings when the hardcore bits differ, else the even
         # half-space, so it is counted from the hardcore bits alone.
         W = prof.params.preimage_bits
-        support = sum(1 << (W - 1 + (hx ^ hxp)) for hx, hxp in regular)
-        validated = itertools.islice(
-            (y for y, count in zip(census, census.counts.tolist()) if count == 2),
-            validate_points)
+        support = int(np.sum(1 << (W - 1 + (bits[:, 0] ^ bits[:, 1]))))
+        validated = census.regular_points(validate_points)
         tv = 0.0
         max_dev = 0.0
         for y in validated:
@@ -204,7 +219,7 @@ def backend_equivalence_experiment(profile: str | Profile = "tiny",
         return DistributionReport(
             "backend-equivalence", "exact-enumeration", support,
             tv, 1e-12, tv <= 1e-12,
-            {"validated_points": min(validate_points, len(regular)),
+            {"validated_points": len(validated),
              "max_point_tv": max_dev},
             "per-image-point decomposition; w formula checked against dense "
             "branch enumeration on sampled points")
@@ -264,7 +279,7 @@ def _view_classes(kp: TrapdoorKeypair) -> list[dict]:
     p_y = 1.0 / len(census)
     # a class depends on the pair's hardcore bits only, not on their order:
     # count the points of each (hx ^ hx', hx * hx') kind, in first-seen order
-    bits = np.array(census.hardcore_bits())
+    bits = census.regular_hardcore_bits()
     kinds = 2 * (bits[:, 0] ^ bits[:, 1]) + bits[:, 0] * bits[:, 1]
     _, first, counts = np.unique(kinds, return_index=True, return_counts=True)
     classes = []
@@ -290,20 +305,17 @@ def real_view_law(kp: TrapdoorKeypair, psi_in: StateVector, b: int) -> dict:
 
 
 def _real_view_law(classes: list[dict], psi_in: StateVector, b: int) -> dict:
+    cases = [(cl, r_a) for cl in classes if cl["p_real"] != 0.0 for r_a in (0, 1)]
+    probs = protocols.oqfe_bob_branches(psi_in, [
+        (qsim.plus_state(Angle8(4 * cl["theta1"] + 2 * cl["theta2"])),
+         protocols.oqfe_delta(b, cl["theta2"], r_a)) for cl, r_a in cases])
     law: dict[tuple, float] = {}
-    for cl in classes:
-        theta1, theta2 = cl["theta1"], cl["theta2"]
-        if cl["p_real"] == 0.0:
-            continue
-        psi_a = qsim.plus_state(Angle8(4 * theta1 + 2 * theta2))
-        for r_a in (0, 1):
-            delta = protocols.oqfe_delta(b, theta2, r_a)
-            for m0, _m1, s_bar, p in protocols.oqfe_bob_branches(
-                    psi_in, psi_a, delta):
-                if p == 0.0:
-                    continue
-                key = (b, _class_key(cl), r_a, m0, s_bar)
-                law[key] = law.get(key, 0.0) + cl["p_real"] * 0.5 * p
+    for (cl, r_a), row in zip(cases, probs.reshape(len(cases), -1).tolist()):
+        for (m0, _m1, s_bar), p in zip(_BOB_BRANCHES, row):
+            if p == 0.0:
+                continue
+            key = (b, _class_key(cl), r_a, m0, s_bar)
+            law[key] = law.get(key, 0.0) + cl["p_real"] * 0.5 * p
     return law
 
 

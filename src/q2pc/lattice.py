@@ -366,9 +366,10 @@ class ImageCensus(Mapping):
     exactly as a dict filled by walking enumerate_domain.  A lookup
     binary-searches the sorted codes, and Preimage objects are built only
     for the points looked up; pair(y) is the lookup of a point's two
-    preimages.  `counts` holds each point's preimage count in iteration
-    order.  Raises LatticeError on a domain too large to enumerate (codes
-    then stay below q^m < 2^63).
+    preimages, and regular_points/regular_hardcore_bits read the
+    two-preimage points and their d bits off the arrays.  `counts` holds
+    each point's preimage count in iteration order.  Raises LatticeError
+    on a domain too large to enumerate (codes then stay below q^m < 2^63).
 
     The codes are held in the smallest of int16, int32 and int64 that holds
     q^m, so the stable sort is numpy's radix sort where q^m fits 16 bits
@@ -430,13 +431,22 @@ class ImageCensus(Mapping):
         x, xp = self._preimages(i)
         return (x, xp) if x.c <= xp.c else (xp, x)
 
-    def hardcore_bits(self) -> list[tuple]:
-        """Each image point's preimage hardcore bits d, in iteration order,
-        each tuple in domain order: the bits of values() read off the
-        domain indices (d = index & 1), with no Preimage built."""
-        d = (self._order & 1).tolist()
-        starts = self._starts[self._seen].tolist()
-        return [tuple(d[s:s + c]) for s, c in zip(starts, self.counts.tolist())]
+    def regular_hardcore_bits(self) -> np.ndarray:
+        """(points, 2) hardcore bits d of the two-preimage points, in
+        iteration order, each row in domain order: read off the domain
+        indices (d = index & 1), with no Preimage built."""
+        starts = self._starts[self._seen][self.counts == 2]
+        return self._order[np.stack((starts, starts + 1), axis=1)] & 1
+
+    def regular_points(self, k: int | None = None) -> list[tuple]:
+        """The first k two-preimage points in iteration order (all of them
+        when k is None), decoded from their codes only."""
+        return self._decode(self._seen[self.counts == 2][:k])
+
+    def _decode(self, points) -> list[tuple]:
+        # each point's base-q digits, read off its code
+        codes = self._codes[points].astype(np.int64)
+        return list(map(tuple, (codes[:, None] // self._weights % self._params.q).tolist()))
 
     def __getitem__(self, y) -> list[Preimage]:
         i = self._find(y)
@@ -445,9 +455,7 @@ class ImageCensus(Mapping):
         return self._preimages(i)
 
     def __iter__(self):
-        # each point's base-q digits, decoded from its code
-        codes = self._codes[self._seen].astype(np.int64)
-        return map(tuple, (codes[:, None] // self._weights % self._params.q).tolist())
+        return iter(self._decode(self._seen))
 
     def __len__(self) -> int:
         return self._codes.size

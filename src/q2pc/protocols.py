@@ -35,6 +35,8 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import channel, lattice, mbqc, qsim, rsp, zk
 from .channel import Endpoint, canonical_encode
 from .lattice import LatticeParams, TrapdoorKeypair
@@ -82,16 +84,23 @@ def oqfe_bob_state(psi_in: StateVector, psi_a: StateVector) -> StateVector:
         chain, psi_in, {(0, 1): psi_a, (0, 2): qsim.plus_state()})
 
 
-def oqfe_bob_branches(psi_in: StateVector, psi_a: StateVector, delta: Angle8):
-    """All (m0, m1, s_bar, prob) branches of Bob's measurements, exactly.
-    The output qubit is Z-measured raw: X^m1 flips that outcome and Z^m0
-    leaves it alone, so s_bar = z ^ m1."""
-    plan = [(0, Angle8(0)), (1, Angle8(delta)), (2, "Z")]
-    out = []
-    for br in qsim.enumerate_branches(oqfe_bob_state(psi_in, psi_a), plan):
-        m0, m1, z = br.outcomes
-        out.append((m0, m1, z ^ m1, br.probability))
-    return sorted(out)   # (m0, m1, s_bar) order
+def oqfe_bob_branches(psi_in: StateVector, rows) -> np.ndarray:
+    """Exact law of Bob's measurements for each (psi_a, delta) row, every
+    row's state oqfe_bob_state(psi_in, psi_a) and all rows walked at once:
+    probabilities indexed by [row, m0, m1, s_bar], 0.0 on forbidden
+    branches.  The output qubit is Z-measured raw: X^m1 flips that outcome
+    and Z^m0 leaves it alone, so s_bar = z ^ m1."""
+    amps = np.stack([oqfe_bob_state(psi_in, psi_a).amplitudes for psi_a, _ in rows])
+    deltas = np.array([int(delta) for _, delta in rows])
+    # each history starts as its row index, so a branch's row is its high bits
+    history = np.arange(len(rows))
+    amps, history = qsim.split_branches(amps, history, 0, Angle8(0))
+    amps, history = qsim.split_branches(amps, history, 0, deltas[history >> 1])
+    amps, history = qsim.split_branches(amps, history, 0, "Z")
+    law = np.zeros((len(rows), 2, 2, 2))
+    law.reshape(-1)[history] = (amps.real ** 2 + amps.imag ** 2).sum(axis=1)
+    law[:, :, 1] = law[:, :, 1, ::-1].copy()   # z -> s_bar where m1 = 1
+    return law
 
 
 def oqfe_bob_measure(psi_in: StateVector, psi_a: StateVector, delta: Angle8,

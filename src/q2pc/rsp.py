@@ -21,7 +21,9 @@ units of pi/4), exactly.  theta2 always equals the keypair's hardcore bit.
 The classical-shortcut backend samples the same transcript law analytically:
 w is uniform when the two h values differ, and uniform over the even-parity
 half-space <w, enc(x) xor enc(x')> = 0 when they agree (odd-parity outcomes
-have amplitude zero).
+have amplitude zero).  The exact w laws (w_law_for_pair, and its dense
+oracle w_law_dense) are length-2^W probability vectors indexed by
+w_int = sum_i w_i 2^i.
 
 Eight-state composition (merge circuit is an implementation choice,
 validated branch-by-branch in the test suite): run the 4-state protocol
@@ -206,33 +208,36 @@ def rsp_alice_decode(kp: TrapdoorKeypair, y, w_meas) -> RspAliceOutput:
 
 # ------------------------------------------------- exact transcript laws
 
-def w_law_for_pair(params: LatticeParams, x: Preimage, xp: Preimage) -> dict:
-    """Exact conditional law of w given the image point, {w_int: prob}."""
+def w_law_for_pair(params: LatticeParams, x: Preimage, xp: Preimage) -> np.ndarray:
+    """Exact conditional law of w given the image point: a length-2^W
+    probability vector indexed by w_int."""
     W = params.preimage_bits
     if lattice.hardcore(x) ^ lattice.hardcore(xp):
-        return dict.fromkeys(range(1 << W), 1.0 / (1 << W))
+        return np.full(1 << W, 1.0 / (1 << W))
     delta = lattice.encode(params, x) ^ lattice.encode(params, xp)
     # parity[w] = <w, delta> mod 2, doubled one bit of w at a time
     parity = np.zeros(1, dtype=np.int8)
     for i in range(W):
         parity = np.concatenate((parity, parity ^ ((delta >> i) & 1)))
-    return dict.fromkeys(np.flatnonzero(parity == 0).tolist(), 1.0 / (1 << (W - 1)))
+    return np.where(parity == 0, 1.0 / (1 << (W - 1)), 0.0)
 
 
-def w_law_dense(params: LatticeParams, x: Preimage, xp: Preimage) -> dict:
+def w_law_dense(params: LatticeParams, x: Preimage, xp: Preimage) -> np.ndarray:
     """Oracle for w_law_for_pair: dense branch enumeration of the +/- basis
-    measurements on the two-term state, {w_int: prob}."""
+    measurements on the two-term state, as a length-2^W probability vector
+    indexed by w_int (0.0 on the dropped branches)."""
     W = params.preimage_bits
     amps = _preimage_register(params, x, xp).amplitudes.reshape(1, -1)
     history = np.zeros(1, dtype=np.int64)
     for _ in range(W):
         # measured qubit is removed, so the register front stays at index 0
         amps, history = qsim.split_branches(amps, history, 0, Angle8(0))
-    probs = (amps.real ** 2 + amps.imag ** 2).sum(axis=1)
     # a history holds w_0 as its most significant bit, w_int as its least
     # significant: reverse the W bits
     w_ints = ((history[:, None] >> np.arange(W - 1, -1, -1)) & 1) @ (1 << np.arange(W))
-    return dict(zip(w_ints.tolist(), probs.tolist()))
+    law = np.zeros(1 << W)
+    law[w_ints] = (amps.real ** 2 + amps.imag ** 2).sum(axis=1)
+    return law
 
 
 def transcript_law(pk: PublicKey) -> list[tuple]:
@@ -242,7 +247,7 @@ def transcript_law(pk: PublicKey) -> list[tuple]:
     w_law_for_pair(params, x, x').  Both backends sample exactly this law;
     enumerable domains only."""
     census = lattice.image_census(pk)
-    regular = [y for y, count in zip(census, census.counts.tolist()) if count == 2]
+    regular = census.regular_points()
     p_y = 1.0 / len(regular)
     return [(y, p_y, *census.pair(y)) for y in regular]
 

@@ -41,6 +41,18 @@ def test_tv_union_support():
     assert abs(harness.tv_distance({0: 1.0}, {0: 0.5, 1: 0.5}) - 0.5) < 1e-15
 
 
+def test_tv_arrays_sum_left_to_right_like_dicts():
+    # values whose pairwise and sequential sums differ in the last bits
+    rng = np.random.default_rng(5)
+    a, b = rng.random(1000) * 1e-3, rng.random(1000) * 1e-3
+    a[::3] = 0.0
+    want = harness.tv_distance(dict(enumerate(a.tolist())), dict(enumerate(b.tolist())))
+    assert harness.tv_distance(a, b) == want
+    assert harness.tv_distance(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 1.0
+    with pytest.raises(harness.HarnessError):
+        harness.tv_distance(np.zeros(4), np.zeros(8))
+
+
 # ------------------------------------------------------ correctness oracle
 
 @pytest.mark.parametrize("b", [0, 1])
@@ -98,6 +110,20 @@ def test_backend_equivalence_exact():
     assert rep.details["validated_points"] == 2
 
 
+@pytest.mark.parametrize("points", [-1, 1.5, True, "2", None])
+def test_backend_equivalence_refuses_a_bad_validate_points(points):
+    with pytest.raises(harness.HarnessError, match="validate_points"):
+        harness.backend_equivalence_experiment(validate_points=points)
+
+
+def test_backend_equivalence_validates_no_point_or_every_asked_one():
+    none = harness.backend_equivalence_experiment(validate_points=0)
+    assert none.details == {"validated_points": 0, "max_point_tv": 0.0}
+    assert none.tv == 0.0 and none.passed
+    some = harness.backend_equivalence_experiment(validate_points=5)
+    assert some.details["validated_points"] == 5 and some.passed
+
+
 def test_backend_equivalence_rejects_large_profiles():
     # the image table refuses a domain too large to enumerate
     large = Profile("large", lattice.LatticeParams(n=2, m=16, q=256, sigma0=1, sigma=4))
@@ -132,7 +158,8 @@ def loop_view_classes(kp):
     census = lattice.image_census(kp.public)
     p_y, half = 1.0 / len(census), 1 << (kp.params.preimage_bits - 1)
     acc = {}
-    for hx, hxp in census.hardcore_bits():
+    for _y, pres in census.items():
+        hx, hxp = (z.d for z in pres)
         theta2, hh = hx ^ hxp, hx * hxp
         for parity in (0, 1):
             cl = acc.setdefault((theta2, parity, hh), {

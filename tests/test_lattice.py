@@ -226,7 +226,11 @@ def test_image_table_matches_the_loop_census(seed):
     assert list(table.items()) == list(oracle.items())
     assert list(table.values()) == list(oracle.values())
     assert list(table) == list(oracle) and len(table) == len(oracle)
-    assert table.hardcore_bits() == [tuple(z.d for z in pres) for pres in oracle.values()]
+    regular = {y: pres for y, pres in oracle.items() if len(pres) == 2}
+    assert table.regular_points() == list(regular)
+    assert table.regular_points(3) == list(regular)[:3]
+    assert table.regular_hardcore_bits().tolist() == \
+        [[z.d for z in pres] for pres in regular.values()]
     for y in list(oracle)[:20]:
         assert y in table and table[y] == oracle[y]
     # pair: the c-ordered pair on count-2 points, the count elsewhere
@@ -266,12 +270,31 @@ def test_hardcore_bits_are_the_preimages_d_bits_on_keys_of_both_d0():
     for seed in (bytes([4]) * 32, bytes([9]) * 32):
         kp = lat.gen_regular(TINY, pr.coin_source(seed, "gen"))
         census = lat.image_census(kp.public)
-        want = [tuple(z.d for z in pres) for _y, pres in census.items()]
-        assert census.hardcore_bits() == want
+        want = [[z.d for z in pres] for _y, pres in census.items()]
+        bits = census.regular_hardcore_bits()
+        assert bits.shape == (len(census), 2) and bits.tolist() == want
+        assert census.regular_points() == list(census)
         # every pair's bits differ by d0 (the hidden shift flips d)
         assert {hx ^ hxp for hx, hxp in want} == {kp.d0}
         d0s.add(kp.d0)
     assert d0s == {0, 1}
+
+
+def test_regular_accessors_skip_the_irregular_points_of_a_rejected_key():
+    # this seed's first gen draw is the one gen_regular rejects, and the
+    # first point it sees has four preimages
+    kp = keypair(bytes(32))
+    assert not lat.is_two_regular(kp.public)
+    oracle = loop_census(kp.public)
+    assert len(next(iter(oracle.values()))) == 4
+    regular = {y: pres for y, pres in oracle.items() if len(pres) == 2}
+    assert 0 < len(regular) < len(oracle)
+    census = lat.image_census(kp.public)
+    assert census.regular_points() == list(regular)
+    assert census.regular_points(5) == list(regular)[:5]
+    assert census.regular_points(0) == []
+    assert census.regular_hardcore_bits().tolist() == \
+        [[z.d for z in pres] for pres in regular.values()]
 
 
 # SHA-256 of the public key gen_regular accepts from these coins; the keys

@@ -46,9 +46,25 @@ def test_decode_uses_m0_only_when_b_is_one():
 def test_bob_branches_form_a_distribution():
     psi_a = qsim.plus_state(Angle8(3))
     for name, psi in INPUTS.items():
-        branches = protocols.oqfe_bob_branches(psi, psi_a, Angle8(4))
-        assert len(branches) == 8   # (m0, m1, s_bar) triples
-        assert abs(sum(p for *_x, p in branches) - 1.0) < 1e-12
+        branches = protocols.oqfe_bob_branches(psi, [(psi_a, Angle8(4))])
+        assert branches.shape == (1, 2, 2, 2)   # [row, m0, m1, s_bar]
+        assert abs(branches.sum() - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(INPUTS))
+def test_batched_bob_branches_equal_one_walk_per_row(name):
+    # every row of one batched walk against qsim.enumerate_branches on that
+    # row's state, for all four RSP angles theta and every even delta
+    rows = [(qsim.plus_state(Angle8(theta)), Angle8(delta))
+            for theta in (0, 2, 4, 6) for delta in (0, 2, 4, 6)]
+    law = protocols.oqfe_bob_branches(INPUTS[name], rows)
+    assert law.shape == (len(rows), 2, 2, 2)
+    for row, (psi_a, delta) in zip(law, rows):
+        plan = [(0, Angle8(0)), (1, delta), (2, "Z")]
+        for br in qsim.enumerate_branches(protocols.oqfe_bob_state(INPUTS[name], psi_a),
+                                          plan):
+            m0, m1, z = br.outcomes
+            assert row[m0, m1, z ^ m1] == br.probability
 
 
 @pytest.mark.parametrize("name", sorted(INPUTS))

@@ -82,12 +82,15 @@ def test_shortcut_deterministic_given_coins():
 
 
 def test_w_law_formula_matches_dense_enumeration():
-    for _y, _p_y, x, xp in rsp.transcript_law(KP2.public)[:2]:
+    # KP: the even half-space law; KP2: the uniform law
+    pairs = [pair for kp in (KP, KP2) for _y, _p_y, *pair in rsp.transcript_law(kp.public)[:2]]
+    for x, xp in pairs:
         law = rsp.w_law_for_pair(TINY, x, xp)
         dense = rsp.w_law_dense(TINY, x, xp)
-        assert set(law) == set(dense)
-        for w, p in law.items():
-            assert abs(p - dense[w]) < 1e-12
+        assert law.shape == dense.shape == (1 << TINY.preimage_bits,)
+        # same support (the dense walk keeps only the allowed branches)
+        assert np.array_equal(np.flatnonzero(law), np.flatnonzero(dense))
+        assert np.max(np.abs(law - dense)) < 1e-12
 
 
 def test_half_space_law_when_h_values_agree():
@@ -104,7 +107,7 @@ def test_half_space_law_when_h_values_agree():
 
 def test_transcript_law_is_a_distribution_with_uniform_y_marginal():
     law = rsp.transcript_law(KP.public)
-    total = sum(p_y * sum(rsp.w_law_for_pair(TINY, x, xp).values())
+    total = sum(p_y * float(rsp.w_law_for_pair(TINY, x, xp).sum())
                 for _y, p_y, x, xp in law)
     assert abs(total - 1.0) < 1e-9
     assert len({y for y, *_ in law}) == len(law)
