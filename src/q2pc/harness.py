@@ -183,12 +183,12 @@ def backend_equivalence_experiment(profile: str | Profile = "tiny",
                                    validate_points: int = 2) -> DistributionReport:
     """Transcript-message law of the quantum backend vs the shortcut backend.
 
-    Exact mode decomposes the joint (y, w) law per image point; the analytic
-    w formula is validated against dense branch enumeration of the quantum
-    measurements on the first validate_points two-preimage points (an int
-    >= 0, else HarnessError), each pair of w laws a length-2^W array whose
-    TV is summed left to right.  Sampling mode runs both backends and
-    compares empirical y marginals."""
+    Exact mode decomposes the joint (y, w) law per image point: the
+    shortcut's w law is compared with the dense enumeration of quantum Bob
+    on the first validate_points two-preimage points in first-seen order
+    (an int >= 0, else HarnessError), each pair of w laws a length-2^W
+    array whose TV is summed left to right.  Sampling mode runs both
+    backends and compares empirical y marginals."""
     if type(validate_points) is not int or validate_points < 0:
         raise HarnessError(f"validate_points must be an int >= 0, got {validate_points!r}")
     prof = get_profile(profile) if isinstance(profile, str) else profile
@@ -197,14 +197,12 @@ def backend_equivalence_experiment(profile: str | Profile = "tiny",
         census = lattice.image_census(kp.public)
         bits = census.regular_hardcore_bits()
         p_y = 1.0 / len(bits)
-        # Both backends draw y uniformly over the regular image and then w
-        # from the same per-point conditional, so the transcript TV is the
-        # y-average of the per-point w-law TVs.  Where the dense quantum
-        # branch enumeration is run, it stands in for the quantum backend's
-        # law; elsewhere the two conditionals are the same formula by
-        # construction, contributing zero.  The analytic law's support is
-        # all 2^W strings when the hardcore bits differ, else the even
-        # half-space, so it is counted from the hardcore bits alone.
+        # Both backends draw y uniformly over the regular image, so the
+        # transcript TV is the y-average of the per-point TVs of their w
+        # laws.  Points beyond the validated ones are not enumerated and
+        # contribute zero.  The shortcut's w support is all 2^W strings when
+        # the hardcore bits differ, else the even half-space, so it is
+        # counted from the hardcore bits alone.
         W = prof.params.preimage_bits
         support = int(np.sum(1 << (W - 1 + (bits[:, 0] ^ bits[:, 1]))))
         validated = census.regular_points(validate_points)
@@ -247,20 +245,6 @@ def backend_equivalence_experiment(profile: str | Profile = "tiny",
 
 
 # ------------------------------------------------- semi-honest-Alice views
-
-@dataclass(frozen=True)
-class ViewSample:
-    """OQFE Alice's view: input bit, mask, RSP message, Bob's report."""
-    b: int
-    r_a: int
-    y: tuple
-    w: tuple
-    m0: int
-    s_bar: int
-
-    def key(self):
-        return (self.b, self.r_a, self.y, self.w, self.m0, self.s_bar)
-
 
 def _view_classes(kp: TrapdoorKeypair) -> list[dict]:
     """Lump the (y, w) transcript space into classes on which both the real
@@ -330,11 +314,25 @@ def simulated_view_law(kp: TrapdoorKeypair, psi_in: StateVector, b: int,
     return _simulated_view_law(_view_classes(kp), psi_in, b, variant)
 
 
-def _simulated_view_law(classes: list[dict], psi_in: StateVector, b: int,
-                        variant: str) -> dict:
+def _wired_report(b: int, variant: str, bit: int, c0: int, c1: int) -> tuple[int, int]:
+    """The simulator's (m0, s_bar) from bit = s_b ^ theta1 ^ r_A and two free
+    coins: the decode identity wired in for b = 1 (s_bar free) and for the
+    corrected b = 0 (m0 free); the literal b = 0 reports both coins."""
     if variant not in ("corrected", "literal"):
         raise HarnessError(f"unknown simulator variant {variant!r}")
+    if b == 1:
+        return c1 ^ bit, c1
+    return (c0, bit) if variant == "corrected" else (c0, c1)
+
+
+def _simulated_view_law(classes: list[dict], psi_in: StateVector, b: int,
+                        variant: str) -> dict:
     ideal = born_rx_law(psi_in, b)
+    # wired[bit][m0][s_bar]: how many of the four coin pairs are wired to it
+    wired = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
+    for bit, c0, c1 in itertools.product((0, 1), repeat=3):
+        m0, s_bar = _wired_report(b, variant, bit, c0, c1)
+        wired[bit][m0][s_bar] += 1
     law: dict[tuple, float] = {}
     for cl in classes:
         theta1 = cl["theta1"]
@@ -345,14 +343,7 @@ def _simulated_view_law(classes: list[dict], psi_in: StateVector, b: int,
             for s_b, p_sb in ideal.items():
                 if p_sb == 0.0:
                     continue
-                if b == 1:
-                    # decode identity wired in: the free coin is s_bar
-                    p_pair = 0.5 if m0 == (s_bar ^ s_b ^ theta1 ^ r_a) else 0.0
-                elif variant == "corrected":
-                    # b=0 decode ignores m0; the free coin is m0
-                    p_pair = 0.5 if s_bar == (s_b ^ theta1 ^ r_a) else 0.0
-                else:
-                    p_pair = 0.25  # both bits free coins, independent of s_b
+                p_pair = 0.25 * wired[s_b ^ theta1 ^ r_a][m0][s_bar]
                 if p_pair == 0.0:
                     continue
                 key = (b, _class_key(cl), r_a, m0, s_bar)
@@ -362,8 +353,8 @@ def _simulated_view_law(classes: list[dict], psi_in: StateVector, b: int,
 
 def simulate_semi_honest_alice(b: int, s_b: int, kp: TrapdoorKeypair,
                                coins: CoinSource,
-                               variant: str = "corrected") -> ViewSample:
-    """One simulated view sample, the sampling counterpart of
+                               variant: str = "corrected") -> protocols.OqfeAliceView:
+    """One simulated view of semi-honest Alice, the sampling counterpart of
     simulated_view_law (s_b supplied by the ideal functionality)."""
     W = kp.params.preimage_bits
     if variant == "corrected":
@@ -376,19 +367,13 @@ def simulate_semi_honest_alice(b: int, s_b: int, kp: TrapdoorKeypair,
         w = tuple((coins.bits(W) >> i) & 1 for i in range(W))
     r_a = coins.bit()
     try:
-        dec = rsp.rsp_alice_decode(kp, y, w)
-        theta1 = dec.theta1
+        theta1 = rsp.rsp_alice_decode(kp, y, w).theta1
     except rsp.RspAbort:
         theta1 = 0
-    if b == 1:
-        s_bar = coins.bit()
-        m0 = s_bar ^ s_b ^ theta1 ^ r_a
-    elif variant == "corrected":
-        m0 = coins.bit()
-        s_bar = s_b ^ theta1 ^ r_a
-    else:
-        m0, s_bar = coins.bit(), coins.bit()
-    return ViewSample(b, r_a, tuple(y), tuple(w), m0, s_bar)
+    m0, s_bar = _wired_report(b, variant, s_b ^ theta1 ^ r_a, coins.bit(), coins.bit())
+    return protocols.OqfeAliceView(
+        b, r_a, theta1, kp.hp, protocols.oqfe_delta(b, kp.hp, r_a),
+        tuple(y), tuple(w), m0, s_bar, s_b)
 
 
 def simulator_tv_experiment(psi_in: StateVector, b: int,

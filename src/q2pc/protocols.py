@@ -105,16 +105,15 @@ def oqfe_bob_branches(psi_in: StateVector, rows) -> np.ndarray:
 
 def oqfe_bob_measure(psi_in: StateVector, psi_a: StateVector, delta: Angle8,
                      coins: CoinSource) -> tuple[int, int]:
-    """Sampled run of Bob's circuit; returns (m0, s_bar); m1 stays local."""
-    st = oqfe_bob_state(psi_in, psi_a)
-    m0, st = qsim.measure(st, 0, Angle8(0), coins)
-    m1, st = qsim.measure(st, 0, Angle8(delta), coins)
-    if m1:
-        st = qsim.apply_gate(st, "X", 0)
-    if m0:
-        st = qsim.apply_gate(st, "Z", 0)
-    s_bar, _ = qsim.measure(st, 0, "Z", coins)
-    return m0, s_bar
+    """Sampled run of Bob's circuit drawn from its oqfe_bob_branches law: m0,
+    m1, s_bar in turn, each 1 iff coins.uniform() is below its probability
+    given the ones before.  Returns (m0, s_bar); m1 stays local."""
+    law = oqfe_bob_branches(psi_in, [(psi_a, delta)])[0]
+    outcomes = ()
+    for _ in range(3):
+        p = law[outcomes].reshape(2, -1).sum(axis=1)
+        outcomes += (int(coins.uniform() < p[1] / (p[0] + p[1])),)
+    return outcomes[0], outcomes[2]
 
 
 @dataclass

@@ -21,9 +21,9 @@ units of pi/4), exactly.  theta2 always equals the keypair's hardcore bit.
 The classical-shortcut backend samples the same transcript law analytically:
 w is uniform when the two h values differ, and uniform over the even-parity
 half-space <w, enc(x) xor enc(x')> = 0 when they agree (odd-parity outcomes
-have amplitude zero).  The exact w laws (w_law_for_pair, and its dense
-oracle w_law_dense) are length-2^W probability vectors indexed by
-w_int = sum_i w_i 2^i.
+have amplitude zero), by folding a uniform draw.  The exact w laws are
+length-2^W vectors indexed by w_int = sum_i w_i 2^i: w_law_for_pair pushes
+every draw through that fold; its oracle w_law_dense enumerates quantum Bob.
 
 Eight-state composition (merge circuit is an implementation choice,
 validated branch-by-branch in the test suite): run the 4-state protocol
@@ -120,8 +120,19 @@ def _preimage_register(params: LatticeParams, x: Preimage,
     return StateVector(W + 1, amps)
 
 
-def _inner_parity(w_int: int, delta: int) -> int:
-    return bin(w_int & delta).count("1") & 1
+def _inner_parity(w, delta: int):
+    """<w, delta> mod 2 of an int w or of each entry of an int array w."""
+    v = w & delta
+    for k in range(delta.bit_length().bit_length()):
+        v ^= v >> (1 << k)   # bit 0 now XORs bits 0 .. 2^(k+1) - 1
+    return v & 1
+
+
+def _fold_w(w, delta: int, hx: int, hxp: int):
+    """The shortcut's w from a uniform W-bit draw w (an int or an int
+    array): when the h values agree, odd-parity outcomes are forbidden and
+    fold along delta's lowest set bit onto the even half-space."""
+    return w if hx ^ hxp else w ^ (delta & -delta) * _inner_parity(w, delta)
 
 
 def _w_tuple(w_int: int, width: int) -> tuple:
@@ -166,11 +177,7 @@ def rsp_bob_shortcut(pk: PublicKey, coins: CoinSource,
     W = p.preimage_bits
     delta = lattice.encode(p, x) ^ lattice.encode(p, xp)
     hx, hxp = lattice.hardcore(x), lattice.hardcore(xp)
-    w_int = coins.bits(W)
-    if hx == hxp and _inner_parity(w_int, delta):
-        # odd-parity outcomes are forbidden when the h values agree; folding
-        # along one preimage-difference bit gives the uniform half-space law
-        w_int ^= delta & -delta
+    w_int = _fold_w(coins.bits(W), delta, hx, hxp)
     if hx ^ hxp:
         state = qsim.plus_state(Angle8(4 * _inner_parity(w_int, delta)))
     else:
@@ -209,17 +216,12 @@ def rsp_alice_decode(kp: TrapdoorKeypair, y, w_meas) -> RspAliceOutput:
 # ------------------------------------------------- exact transcript laws
 
 def w_law_for_pair(params: LatticeParams, x: Preimage, xp: Preimage) -> np.ndarray:
-    """Exact conditional law of w given the image point: a length-2^W
-    probability vector indexed by w_int."""
+    """Exact conditional law of w given the image point, the shortcut's fold
+    of every W-bit draw: a length-2^W probability vector indexed by w_int."""
     W = params.preimage_bits
-    if lattice.hardcore(x) ^ lattice.hardcore(xp):
-        return np.full(1 << W, 1.0 / (1 << W))
     delta = lattice.encode(params, x) ^ lattice.encode(params, xp)
-    # parity[w] = <w, delta> mod 2, doubled one bit of w at a time
-    parity = np.zeros(1, dtype=np.int8)
-    for i in range(W):
-        parity = np.concatenate((parity, parity ^ ((delta >> i) & 1)))
-    return np.where(parity == 0, 1.0 / (1 << (W - 1)), 0.0)
+    w = _fold_w(np.arange(1 << W), delta, lattice.hardcore(x), lattice.hardcore(xp))
+    return np.bincount(w, minlength=1 << W) / (1 << W)
 
 
 def w_law_dense(params: LatticeParams, x: Preimage, xp: Preimage) -> np.ndarray:

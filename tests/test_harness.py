@@ -195,7 +195,7 @@ def test_simulated_sample_satisfies_decode_identity_for_b1():
         for s_b in (0, 1):
             v = harness.simulate_semi_honest_alice(1, s_b, KP, coins)
             from q2pc import rsp
-            theta1 = rsp.rsp_alice_decode(KP, v.y, v.w).theta1
+            theta1 = rsp.rsp_alice_decode(KP, v.y, v.w_meas).theta1
             assert v.s_bar ^ theta1 ^ v.r_a ^ v.m0 == s_b
 
 
@@ -210,6 +210,51 @@ def test_simulated_sample_b0_ignores_s_b():
 def test_unknown_variant_rejected():
     with pytest.raises(harness.HarnessError):
         harness.simulated_view_law(KP, PLUS, 0, "other")
+    with pytest.raises(harness.HarnessError):
+        harness.simulate_semi_honest_alice(0, 0, KP, coin_source(bytes(32), "sim"), "other")
+
+
+def simulated_class_key(kp, view):
+    """The class of simulated_view_law's keys that a sampled view falls in:
+    (theta2, theta1, whether theta2 = 0 with <w, Delta_y> odd)."""
+    x, xp = lattice.invert(kp, np.array(view.y))
+    delta = lattice.encode(TINY, x) ^ lattice.encode(TINY, xp)
+    odd = bin(sum(b << i for i, b in enumerate(view.w_meas)) & delta).count("1") % 2
+    return (view.theta2, view.theta1, view.theta2 == 0 and odd == 1)
+
+
+@pytest.mark.parametrize("variant", ["corrected", "literal"])
+@pytest.mark.parametrize("b", [0, 1])
+def test_sampled_simulator_matches_its_exact_law_class_by_class(b, variant):
+    """Sampled: 300 simulated views on KP (hp = 0, so the literal variant's
+    uniform w also lands in the odd classes), s_b drawn from the ideal law.
+    The class marginal, then each class's law of (r_A, m0, s_bar), against
+    simulated_view_law, each under sampled_threshold of its sample count."""
+    trials = 300
+    exact = harness.simulated_view_law(KP, PLUS, b, variant)
+    ideal = harness.born_rx_law(PLUS, b)
+    base = coin_source(bytes([b, variant == "literal"]) + bytes(30), "sim-sampled")
+    counts: dict = {}
+    for t in range(trials):
+        # the corrected variant draws its transcript from coins.child, so
+        # each view gets its own coins
+        coins = base.child(str(t))
+        s_b = int(coins.uniform() < ideal[1])
+        view = harness.simulate_semi_honest_alice(b, s_b, KP, coins, variant)
+        assert (view.b, view.s_b, view.theta2) == (b, s_b, KP.hp)
+        assert view.delta == protocols.oqfe_delta(b, KP.hp, view.r_a)
+        key = (b, simulated_class_key(KP, view), view.r_a, view.m0, view.s_bar)
+        counts[key] = counts.get(key, 0) + 1
+    classes = {key[1] for key in exact}
+    marginal = {cl: sum(p for k, p in exact.items() if k[1] == cl) for cl in classes}
+    sampled = {cl: sum(n for k, n in counts.items() if k[1] == cl) / trials
+               for cl in classes | {key[1] for key in counts}}
+    assert harness.tv_distance(sampled, marginal) <= harness.sampled_threshold(trials)
+    for cl in classes:
+        n_cl = sum(n for k, n in counts.items() if k[1] == cl)
+        got = {k: n / n_cl for k, n in counts.items() if k[1] == cl}
+        want = {k: p / marginal[cl] for k, p in exact.items() if k[1] == cl}
+        assert harness.tv_distance(got, want) <= harness.sampled_threshold(n_cl)
 
 
 # ----------------------------------------------------- blinded pattern law

@@ -67,6 +67,31 @@ def test_batched_bob_branches_equal_one_walk_per_row(name):
             assert row[m0, m1, z ^ m1] == br.probability
 
 
+def sequential_bob_measure(psi_in, psi_a, delta, coins):
+    """Oracle: Bob's circuit run gate by gate, three sampled measurements
+    with the X^m1 Z^m0 corrections on the output qubit."""
+    st = protocols.oqfe_bob_state(psi_in, psi_a)
+    m0, st = qsim.measure(st, 0, Angle8(0), coins)
+    m1, st = qsim.measure(st, 0, Angle8(delta), coins)
+    if m1:
+        st = qsim.apply_gate(st, "X", 0)
+    if m0:
+        st = qsim.apply_gate(st, "Z", 0)
+    s_bar, _ = qsim.measure(st, 0, "Z", coins)
+    return m0, s_bar
+
+
+def test_bob_measure_draws_the_sequential_circuit():
+    # every input, every theta in Z8 and every even delta, 13 seeds each:
+    # 2080 draws
+    cases = itertools.product(sorted(INPUTS), range(8), range(0, 8, 2), range(13))
+    for name, theta, delta, i in cases:
+        args = (INPUTS[name], qsim.plus_state(Angle8(theta)), Angle8(delta))
+        tag = f"{name}/{theta}/{delta}"
+        assert protocols.oqfe_bob_measure(*args, coin_source(seeded(i), tag)) == \
+            sequential_bob_measure(*args, coin_source(seeded(i), tag))
+
+
 @pytest.mark.parametrize("name", sorted(INPUTS))
 @pytest.mark.parametrize("b", [0, 1])
 def test_output_law_matches_rotated_measurement(name, b):

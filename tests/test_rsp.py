@@ -93,6 +93,25 @@ def test_w_law_formula_matches_dense_enumeration():
         assert np.max(np.abs(law - dense)) < 1e-12
 
 
+# |v| mod 2 for every W-bit v, counted one character at a time
+PARITY = np.array([bin(v).count("1") & 1 for v in range(1 << TINY.preimage_bits)])
+
+
+@pytest.mark.parametrize("kp", [KP, KP2], ids=["d0=0", "d0=1"])
+def test_w_law_is_the_parity_formula_on_every_regular_point(kp):
+    # uniform when the h values differ, else uniform on <w, delta> = 0
+    W = TINY.preimage_bits
+    census = lattice.image_census(kp.public)
+    for y in census.regular_points():
+        x, xp = census.pair(y)
+        delta = lattice.encode(TINY, x) ^ lattice.encode(TINY, xp)
+        if lattice.hardcore(x) ^ lattice.hardcore(xp):
+            formula = np.full(1 << W, 2.0 ** -W)
+        else:
+            formula = np.where(PARITY[np.arange(1 << W) & delta] == 0, 2.0 ** (1 - W), 0.0)
+        assert np.array_equal(rsp.w_law_for_pair(TINY, x, xp), formula)
+
+
 def test_half_space_law_when_h_values_agree():
     # forbidden odd-parity outcomes never appear from either backend
     kp = KP if KP.hp == 0 else KP2
