@@ -95,8 +95,15 @@ def sampled_threshold(trials: int) -> float:
 _BOB_BRANCHES = list(itertools.product((0, 1), repeat=3))
 
 
+def _require_bit(b) -> None:
+    """Alice's OQFE input is the int 0 or 1 (no bool, no other int)."""
+    if type(b) is not int or b not in (0, 1):
+        raise HarnessError(f"b must be the int 0 or 1, got {b!r}")
+
+
 def born_rx_law(psi_in: StateVector, b: int) -> dict:
     """The ideal functionality: s_b = M_Z[Rx(-b*pi/2) |psi_in>]."""
+    _require_bit(b)
     rot = qsim.apply_gate(psi_in, ("RX", Angle8(-2 * b)), 0)
     p1 = float(abs(rot.amplitudes[1]) ** 2)
     return {0: 1.0 - p1, 1: p1}
@@ -106,6 +113,7 @@ def oqfe_output_law_exact(psi_in: StateVector, b: int) -> dict:
     """Exact decoded-output law of the semi-honest protocol: enumerate the
     theta bits and mask uniformly, Bob's circuit branches with Born weights,
     then Alice's decode."""
+    _require_bit(b)
     cases = list(itertools.product((0, 1), repeat=3))
     probs = protocols.oqfe_bob_branches(psi_in, [
         (qsim.plus_state(Angle8(4 * theta1 + 2 * theta2)),
@@ -289,6 +297,7 @@ def real_view_law(kp: TrapdoorKeypair, psi_in: StateVector, b: int) -> dict:
 
 
 def _real_view_law(classes: list[dict], psi_in: StateVector, b: int) -> dict:
+    _require_bit(b)
     cases = [(cl, r_a) for cl in classes if cl["p_real"] != 0.0 for r_a in (0, 1)]
     probs = protocols.oqfe_bob_branches(psi_in, [
         (qsim.plus_state(Angle8(4 * cl["theta1"] + 2 * cl["theta2"])),
@@ -356,6 +365,7 @@ def simulate_semi_honest_alice(b: int, s_b: int, kp: TrapdoorKeypair,
                                variant: str = "corrected") -> protocols.OqfeAliceView:
     """One simulated view of semi-honest Alice, the sampling counterpart of
     simulated_view_law (s_b supplied by the ideal functionality)."""
+    _require_bit(b)
     W = kp.params.preimage_bits
     if variant == "corrected":
         out = rsp.rsp_bob_shortcut(kp.public, coins.child("transcript"))

@@ -152,10 +152,6 @@ class TrapdoorKeypair:
     def hp(self) -> int:
         return self.d0
 
-    @property
-    def z0(self) -> tuple:
-        return (self.s0, self.e0, self.d0)
-
 
 def _gadget_matrix(params: LatticeParams) -> np.ndarray:
     k = params.log2q

@@ -180,7 +180,10 @@ def _oqfe_bob_steps(ep: Endpoint, view: OqfeBobView, pk: lattice.PublicKey,
                     psi_in: StateVector, coins: CoinSource,
                     backend) -> OqfeBobView:
     """Bob once he holds Alice's key: RSP, report, measure at delta, report."""
-    out = backend(pk, coins.child("rsp"))
+    try:
+        out = backend(pk, coins.child("rsp"))
+    except rsp.RspError as exc:
+        raise ProtocolAbort("rsp", None, str(exc)) from exc
     view.y, view.w_meas = out.y, out.w_meas
     ep.send("rsp.meas", (list(out.y), list(out.w_meas)))
     delta = ep.expect("oqfe.delta").value()
@@ -374,7 +377,6 @@ def q2pc_alice(ep: Endpoint, pattern: BrickworkPattern, params: LatticeParams,
 @dataclass
 class Q2pcBobResult:
     raw_outcomes: dict = field(default_factory=dict)
-    aborted: bool = False
 
 
 def q2pc_bob(ep: Endpoint, psi_in: StateVector, params: LatticeParams,

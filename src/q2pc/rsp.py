@@ -263,14 +263,18 @@ class Rsp8BobOutput:
     t: int
 
 
+def merge_state(q_full: StateVector, q_raw: StateVector, u: Angle8) -> StateVector:
+    """The merge's state before its measurement: Rz(u*pi/4) on the first
+    held qubit, then CZ with the second."""
+    st = qsim.apply_gate(qsim.tensor(q_full, q_raw), ("RZ", u), 0)
+    return qsim.apply_gate(st, "CZ", (0, 1))
+
+
 def bob_merge(q_full: StateVector, q_raw: StateVector,
               coins: CoinSource) -> tuple[StateVector, Angle8, int]:
     """Merge the two held qubits into one |+_theta>; returns (state, u, t)."""
     u = Angle8(coins.bits(3))
-    st = qsim.tensor(q_full, q_raw)
-    st = qsim.apply_gate(st, ("RZ", u), 0)
-    st = qsim.apply_gate(st, "CZ", (0, 1))
-    t, st = qsim.measure(st, 1, Angle8(2), coins)
+    t, st = qsim.measure(merge_state(q_full, q_raw, u), 1, Angle8(2), coins)
     return st, u, t
 
 
@@ -284,10 +288,10 @@ def alice_merge_theta(first: RspAliceOutput, second: RspAliceOutput,
 
 
 def rsp8_local(kp: TrapdoorKeypair, kp2: TrapdoorKeypair, coins: CoinSource,
-               backend=rsp_bob_quantum, **backend_kwargs) -> tuple[Angle8, Rsp8BobOutput]:
+               backend=rsp_bob_quantum) -> tuple[Angle8, Rsp8BobOutput]:
     """Both roles in one process: two 4-state runs plus the merge."""
-    run1 = backend(kp.public, coins.child("run1"), **backend_kwargs)
-    run2 = backend(kp2.public, coins.child("run2"), raw=True, **backend_kwargs)
+    run1 = backend(kp.public, coins.child("run1"))
+    run2 = backend(kp2.public, coins.child("run2"), raw=True)
     first = rsp_alice_decode(kp, run1.y, run1.w_meas)
     second = rsp_alice_decode(kp2, run2.y, run2.w_meas)
     state, u, t = bob_merge(run1.state, run2.state, coins.child("merge"))

@@ -257,6 +257,24 @@ def test_sampled_simulator_matches_its_exact_law_class_by_class(b, variant):
         assert harness.tv_distance(got, want) <= harness.sampled_threshold(n_cl)
 
 
+@pytest.mark.parametrize("call", [
+    lambda b: harness.born_rx_law(PLUS, b),
+    lambda b: harness.oqfe_output_law_exact(PLUS, b),
+    lambda b: harness.oqfe_correctness_report(PLUS, b),
+    lambda b: harness.real_view_law(KP, PLUS, b),
+    lambda b: harness.simulated_view_law(KP, PLUS, b),
+    lambda b: harness.simulated_view_law(KP, PLUS, b, "literal"),
+    lambda b: harness.simulator_tv_experiment(IPLUS, b),
+    lambda b: harness.simulate_semi_honest_alice(b, 0, KP, coin_source(bytes(32), "sim")),
+], ids=["born", "output-law", "correctness", "real-view", "simulated-view",
+        "simulated-view-literal", "simulator-tv", "simulate"])
+@pytest.mark.parametrize("b", [3, -1, 2, True, False, 1.0, np.int64(1), None])
+def test_exact_oqfe_functions_refuse_a_b_that_is_not_a_bit(call, b):
+    # simulator_tv_experiment(|+i>, 3) reported TV 0.5 and passed: false
+    with pytest.raises(harness.HarnessError, match="b must be"):
+        call(b)
+
+
 # ----------------------------------------------------- blinded pattern law
 
 @st.composite

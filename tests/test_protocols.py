@@ -431,6 +431,24 @@ def test_semi_honest_bob_aborts_on_a_malformed_key(payload):
         ("rsp", None, "malformed public key")
 
 
+def test_semi_honest_bob_aborts_on_a_key_with_no_two_preimage_point():
+    # the all-zero key parses, but every image point has 16 preimages, so
+    # Bob's RSP exhausts its resample budget
+    def alice(ep):
+        ep.send("rsp.key", bytes(8 * KEY_WORDS))
+        ep.expect("rsp.meas")
+
+    with pytest.raises(protocols.ProtocolAbort) as info:
+        protocols.run_pair(
+            alice,
+            lambda ep: protocols.oqfe_sh_bob(ep, INPUTS["plus"], TINY,
+                                             coin_source(seeded(6), "bob"),
+                                             rsp.rsp_bob_shortcut),
+            bytes(16))
+    assert (info.value.phase, info.value.site) == ("rsp", None)
+    assert "resample budget" in info.value.cause
+
+
 def _rewriter(party, msg_type, script):
     """wrap(side, ep): ep, rewritten by script if side is party."""
     def wrap(side, ep):

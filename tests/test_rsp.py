@@ -194,8 +194,9 @@ def test_merge_reaches_all_eight_angles():
 
 def test_merge_branch_enumeration_exact():
     """Ground truth for the merge rule: for fixed sub-run outcomes, enumerate
-    both t branches of the merge measurement and check Alice's theta against
-    the residual state in each."""
+    both t branches of the merge measurement on rsp.merge_state, the state
+    bob_merge measures, and check Alice's theta against the residual state
+    in each."""
     for i in range(6):
         coins = seeded(i, "m8enum")
         run1 = rsp.rsp_bob_shortcut(KP.public, coins.child("run1"))
@@ -203,9 +204,7 @@ def test_merge_branch_enumeration_exact():
         first = rsp.rsp_alice_decode(KP, run1.y, run1.w_meas)
         second = rsp.rsp_alice_decode(KP2, run2.y, run2.w_meas)
         for u in range(8):
-            st = qsim.tensor(run1.state, run2.state)
-            st = qsim.apply_gate(st, ("RZ", Angle8(u)), 0)
-            st = qsim.apply_gate(st, "CZ", (0, 1))
+            st = rsp.merge_state(run1.state, run2.state, Angle8(u))
             for br in qsim.enumerate_branches(st, [(1, Angle8(2))]):
                 if br.impossible:
                     continue
