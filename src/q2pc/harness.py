@@ -227,8 +227,9 @@ def backend_equivalence_experiment(profile: str | Profile = "tiny",
             tv, 1e-12, tv <= 1e-12,
             {"validated_points": len(validated),
              "max_point_tv": max_dev},
-            "per-image-point decomposition; w formula checked against dense "
-            "branch enumeration on sampled points")
+            "per-image-point decomposition; the shortcut's w law against the "
+            "dense enumeration of quantum Bob on the first "
+            f"{len(validated)} two-preimage points in first-seen order")
     threshold = sampled_threshold(trials)
     # the raw y support is too large for an empirical TV at small trial
     # counts, so the image point is coarsened into 8 hash bins

@@ -36,7 +36,7 @@ CLI_DIGESTS = [
      "6115f379ef99255c32acff74cacb9438ab7ce6a246adab6880356ec6629be5ad"),
     # the dense w-law enumeration's floats on the validated points
     (["experiment", "backend-eq", "--seed", "demo"],
-     "5b55ba086207b463e72ea89c9ae76c9d952a5236f30e63f74d3ba4789ef93b5e"),
+     "b5022b908e86a9ccf9dc84ed106605fd1519f7d93dc6fbd4c8d4144b5678fd61"),
     # the OQFE chain's graph-state floats, through every exact view law
     (["experiment", "simulator-tv", "--b", "0", "--input", "iplus", "--seed", "demo"],
      "e71d5d8611f6e9b3a7aab7cd81365053745bda1868b0a91ed929b6dd14c14546"),
@@ -136,13 +136,13 @@ REPORT_DIGESTS = {
     "simulator/d0=1/1/iplus":
         "c6b44c7ffc811a78c6a8759c469998a6e2c30e26f90e27b0bd95b142115d0653",
     "backend-eq/d0=0/1":
-        "0155777192c3cd2f3c97ab3db3ee4f4c2706cd0541fdd4eac4599edb9aa14d8b",
+        "1a03801949e0544475f6bfffb33465f0c1ad68397921de642434b9968b1d6306",
     "backend-eq/d0=0/7":
-        "224c5c8b524b390d57f17cbf31cd0b685158d57714379076be3cac65b5a225c7",
+        "b858f4b4668e95f0b435e33ddfbbfda61e183557f252edcbf708b272b1bdb3de",
     "backend-eq/d0=1/1":
-        "7e3bca27e8dd25aef49f1d861f845968fb182b682eb6479e621368ef64e37bd2",
+        "590054eb049e2676cb0d8b6ec6b40df69275f79e6fdab73034c8e1404df63c6b",
     "backend-eq/d0=1/7":
-        "56e836f903999572fac8156319863cb2e51952c8a98bf09d2f4d67ab6940a243",
+        "b6a32c8ddd064181364240ed8a51df3acca8b9abdf0d16daf5d79f7c96290608",
     "oqfe-output/0/zero":
         "bdff90f2c051ac8d78fa08b7a8af6db0173095e473e2040d5c429e79ebb77837",
     "oqfe-output/0/plus":
